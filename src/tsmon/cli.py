@@ -42,6 +42,8 @@ def _read_spec(path: str) -> tuple[ProtocolSpec, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(ExitStatus.USAGE, f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(ExitStatus.USAGE, f"cannot read {path}: {exc}")
     try:
         return parse_protocol(text), text
     except ParseError as exc:
@@ -183,7 +185,8 @@ def monitor_cmd(
         events = monitor_mod.read_trace(trace_path)
     except OSError as exc:
         _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
+        # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
         _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
     result = monitor_mod.run_trace(spec, conf, events)
     if log_path is None:

@@ -53,6 +53,7 @@ from .model import (
     TypeRef,
     Typestate,
     Value,
+    outcome_text,
 )
 
 __all__ = ["ParseError", "parse_protocol", "serialize_protocol"]
@@ -540,7 +541,7 @@ class _Parser:
                 case = self.parse_case()
                 if case[0] in outcomes:
                     raise ParseError(
-                        "duplicate", f"duplicate decision outcome {self._outcome_text(case[0])!r}", case[2]
+                        "duplicate", f"duplicate decision outcome {outcome_text(case[0])!r}", case[2]
                     )
                 outcomes.add(case[0])
                 cases.append(case)
@@ -548,14 +549,6 @@ class _Parser:
             return DecisionDest(cases=tuple((o, s) for o, s, _ in cases))
         tok = self.expect_ident("a destination state or '<'")
         return PlainDest(state=tok.text)
-
-    @staticmethod
-    def _outcome_text(outcome: Value) -> str:
-        if outcome is True:
-            return "true"
-        if outcome is False:
-            return "false"
-        return str(outcome)
 
     def parse_case(self) -> tuple[Value, str, SourceSpan]:
         tok = self.peek()
@@ -646,18 +639,10 @@ def _type_text(tref: TypeRef) -> str:
     return tref.enum_name if tref.kind == "enum" else tref.kind
 
 
-def _outcome_text(outcome: Value) -> str:
-    if outcome is True:
-        return "true"
-    if outcome is False:
-        return "false"
-    return str(outcome)
-
-
 def _dest_text(dest: Destination) -> str:
     if isinstance(dest, PlainDest):
         return dest.state
-    cases = ", ".join(f"{_outcome_text(o)}: {s}" for o, s in dest.cases)
+    cases = ", ".join(f"{outcome_text(o)}: {s}" for o, s in dest.cases)
     return f"<{cases}>"
 
 

@@ -46,10 +46,7 @@ __all__ = [
     "enum_labels",
     "expr_names",
     "attrs",
-    "post_assigns_of",
-    "pre_assigns_of",
-    "preds_of",
-    "ratio_of",
+    "outcome_text",
     "ratios_of",
     "resolve_state",
     "BOOLEAN",
@@ -62,6 +59,18 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # A transition value: None for actions with a plain destination, True/False
 # for boolean outcomes, a label string for enumeration outcomes.
 Value = Union[None, bool, str]
+
+
+def outcome_text(value: Value) -> str:
+    """Source spelling of a transition value: ``none``, ``true``, ``false``
+    or the enumeration label."""
+    if value is None:
+        return "none"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
 
 
 class SpecError(Exception):
@@ -444,24 +453,8 @@ def attrs(ts: Typestate, state: str, action: str) -> ActionAttrs:
     return ActionAttrs(br.ratio, br.dest, br.pre_assigns, br.post_assigns, br.preds)
 
 
-def ratio_of(ts: Typestate, state: str, action: str) -> Optional[float]:
-    return attrs(ts, state, action).ratio
-
-
 def dest_of(ts: Typestate, state: str, action: str) -> Destination:
     return attrs(ts, state, action).dest
-
-
-def pre_assigns_of(ts: Typestate, state: str, action: str) -> tuple[str, ...]:
-    return attrs(ts, state, action).pre_assigns
-
-
-def post_assigns_of(ts: Typestate, state: str, action: str) -> tuple[str, ...]:
-    return attrs(ts, state, action).post_assigns
-
-
-def preds_of(ts: Typestate, state: str, action: str) -> tuple[str, ...]:
-    return attrs(ts, state, action).preds
 
 
 def decisions_of(ts: Typestate, state: str, action: str) -> frozenset[Value]:

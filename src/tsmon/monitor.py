@@ -218,6 +218,8 @@ def trace_event_to_json(ev: TraceEvent) -> dict:
 
 
 def trace_event_from_json(obj: dict) -> TraceEvent:
+    if not isinstance(obj, dict):
+        raise ValueError(f"trace event is not a JSON object: {obj!r}")
     return TraceEvent(
         participant=obj["participant"],
         action=obj["action"],

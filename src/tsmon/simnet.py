@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from . import semantics, specs
 from .model import ProtocolSpec
-from .monitor import DIRECTION_IN, DIRECTION_OUT, TraceEvent, trace_event_to_json
+from .monitor import DIRECTION_IN, DIRECTION_OUT, TraceEvent, write_trace
 
 __all__ = [
     "AbpConfig",
@@ -428,10 +428,7 @@ def write_run(run: SimRun, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in sorted(run.traces):
-        lines = "".join(
-            json.dumps(trace_event_to_json(ev)) + "\n" for ev in run.traces[name]
-        )
-        (out / f"{name}.jsonl").write_text(lines, encoding="utf-8")
+        write_trace(out / f"{name}.jsonl", run.traces[name])
     manifest = run.manifest()
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -1,13 +1,16 @@
 """Well-formedness rules, the transition set, and graph export.
 
 Violations are collected exhaustively and returned as :class:`Diagnostic`
-values; nothing here raises on a bad spec.
+values; nothing here raises on a bad spec.  The transition rules run on one
+successor/predecessor index built from the transition set; the brute-force
+searches :func:`is_reachable` and :func:`is_productive` are kept as the
+reference oracles that the index is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .model import (
     PlainDest,
@@ -16,8 +19,8 @@ from .model import (
     Value,
     actions_of,
     decisions_of,
-    dest_of,
     enum_labels,
+    outcome_text,
     ratios_of,
     resolve_state,
 )
@@ -90,16 +93,6 @@ class TransitionSet:
 
     tuples: frozenset[Transition]
 
-    def outgoing(self, state: str) -> list[Transition]:
-        return [t for t in self.tuples if t[0] == state]
-
-    def nodes(self) -> frozenset[str]:
-        out = set()
-        for src, _m, _v, dst in self.tuples:
-            out.add(src)
-            out.add(dst)
-        return frozenset(out)
-
     def __len__(self) -> int:
         return len(self.tuples)
 
@@ -166,9 +159,7 @@ def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
 
 
 def _values_text(values: Iterable[Value]) -> str:
-    names = sorted(_value_key(v) for v in values)
-    shown = [n.lstrip("\x01\x02") or "none" for n in names]
-    return "{" + ", ".join(shown) + "}"
+    return "{" + ", ".join(outcome_text(v) for v in sorted(values, key=_value_key)) + "}"
 
 
 def build_trs(spec: ProtocolSpec) -> TransitionSet:
@@ -220,26 +211,16 @@ def is_productive(state: str, trs: TransitionSet) -> bool:
     return False
 
 
-def _weak_components(nodes: set[str], trs: TransitionSet) -> list[set[str]]:
-    neighbours: dict[str, set[str]] = {n: set() for n in nodes}
-    for src, _m, _v, dst in trs.tuples:
-        neighbours.setdefault(src, set()).add(dst)
-        neighbours.setdefault(dst, set()).add(src)
-    components = []
-    remaining = set(neighbours)
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            node = frontier.pop()
-            for other in neighbours[node]:
-                if other not in comp:
-                    comp.add(other)
-                    frontier.append(other)
-        remaining -= comp
-        components.append(comp)
-    return components
+def _closure(seeds: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[str]:
+    """The seeds plus every node reachable from them along ``edges``."""
+    reached = set(seeds)
+    frontier = list(reached)
+    while frontier:
+        for nxt in edges.get(frontier.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached
 
 
 def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagnostic]:
@@ -254,10 +235,20 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
     diags: list[Diagnostic] = []
     start = ts.start
 
-    terminal_exists = any(not trs.outgoing(s) for s in ts.states)
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
+    for src, _m, _v, dst in trs.tuples:
+        succ.setdefault(src, set()).add(dst)
+        pred.setdefault(dst, set()).add(src)
+
+    reachable = _closure([start], succ)
+    # Terminal nodes have no outgoing tuple; undeclared (dangling)
+    # destinations count, as they do for is_productive.
+    productive = _closure((ts.states.keys() | pred.keys()) - succ.keys(), pred)
+    terminal_exists = any(s not in succ for s in ts.states)
     for state in ts.states:
         span = ts.state_spans.get(state)
-        if not is_reachable(state, trs, start):
+        if state not in reachable:
             diags.append(
                 Diagnostic(
                     rule=RULE_USEFUL_STATES,
@@ -266,7 +257,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     span=span,
                 )
             )
-        if terminal_exists and not is_productive(state, trs):
+        if terminal_exists and state not in productive:
             diags.append(
                 Diagnostic(
                     rule=RULE_USEFUL_STATES,
@@ -307,12 +298,11 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                 )
             )
 
-    declared = set(ts.states)
-    components = _weak_components(declared | set(trs.nodes()), trs)
     if len(ts.states) > 1:
-        reached = {s for comp in components if start in comp for s in comp}
+        neighbours = {n: succ.get(n, set()) | pred.get(n, set()) for n in succ.keys() | pred.keys()}
+        connected = _closure([start], neighbours)
         for state in ts.states:
-            if state not in reached:
+            if state not in connected:
                 diags.append(
                     Diagnostic(
                         rule=RULE_WEAK_CONNECTIVITY,
@@ -322,10 +312,11 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     )
                 )
 
+    keys = {t[:3] for t in trs.tuples}
     for state in ts.states:
         for action in sorted(actions_of(ts, state)):
             for value in sorted(decisions_of(ts, state, action), key=_value_key):
-                if not any(t[:3] == (state, action, value) for t in trs.tuples):
+                if (state, action, value) not in keys:
                     diags.append(
                         Diagnostic(
                             rule=RULE_DECISION_TOTALITY,
@@ -337,7 +328,9 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     )
 
     for src, action, value, dst in _sorted_tuples(trs):
-        if action not in actions_of(ts, src):
+        body = ts.states.get(src)
+        found = body.find(action) if body is not None else None
+        if found is None:
             diags.append(
                 Diagnostic(
                     rule=RULE_TRANSITION_SET,
@@ -347,7 +340,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                 )
             )
             continue
-        dest = dest_of(ts, src, action)
+        dest = found[0].dest
         if isinstance(dest, PlainDest):
             if value is not None or dest.state != dst:
                 diags.append(
@@ -403,15 +396,7 @@ def export_dot(spec: ProtocolSpec, trs: TransitionSet) -> str:
                 prefix = "?" if found[1] else "!"
         label = f"{prefix}{action}"
         if value is not None:
-            label += f"/{_outcome_label(value)}"
+            label += f"/{outcome_text(value)}"
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _outcome_label(value: Value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)

@@ -192,3 +192,15 @@ def fixpoint_productive(tuples, nodes) -> set[str]:
                 productive.add(src)
                 changed = True
     return productive
+
+
+def fixpoint_weak_component(tuples, start: str) -> set[str]:
+    component = {start}
+    changed = True
+    while changed:
+        changed = False
+        for src, _m, _v, dst in tuples:
+            if (src in component) != (dst in component):
+                component |= {src, dst}
+                changed = True
+    return component

@@ -41,6 +41,13 @@ class TestValidate:
         result = invoke(runner, ["validate", "no/such/file.tsp"])
         assert result.exit_code == 2
 
+    def test_non_utf8_spec(self, runner, tmp_path):
+        bad = tmp_path / "latin1.tsp"
+        bad.write_bytes("state Caf\u00e9 = end\n".encode("latin-1"))
+        result = invoke(runner, ["validate", str(bad)])
+        assert result.exit_code == 2
+        assert "cannot read" in result.stderr
+
     def test_parse_error(self, runner, tmp_path):
         bad = tmp_path / "broken.tsp"
         bad.write_text("state = {\n")
@@ -190,14 +197,18 @@ class TestMonitor:
             assert "verdict" in json.loads(line)
         assert "events" in json.loads(result.stderr.strip().splitlines()[-1])
 
-    def test_malformed_trace(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ["not json", "[1, 2]", "3", "null"], ids=["not-json", "array", "number", "null"]
+    )
+    def test_malformed_trace(self, runner, tmp_path, line):
         trace = tmp_path / "junk.jsonl"
-        trace.write_text("not json\n")
+        trace.write_text(line + "\n")
         result = invoke(
             runner,
             ["monitor", str(spec_path("sender")), "--trace", str(trace)],
         )
         assert result.exit_code == 2
+        assert "malformed trace" in result.stderr
 
     def test_monitor_runs_are_byte_identical(self, runner, tmp_path):
         self._simulate(runner, tmp_path)

@@ -1,5 +1,7 @@
 """Well-formedness rules, transition sets, graph predicates, DOT export."""
 
+import random
+
 import pytest
 
 from tsmon import specs
@@ -24,7 +26,12 @@ from tsmon.wellformed import (
     validate,
 )
 
-from specgen import fixpoint_productive, fixpoint_reachable, random_wellformed_spec
+from specgen import (
+    fixpoint_productive,
+    fixpoint_reachable,
+    fixpoint_weak_component,
+    random_wellformed_spec,
+)
 
 
 class TestCheckWellFormed:
@@ -123,13 +130,46 @@ class TestReachability:
     @pytest.mark.parametrize("seed", range(60))
     def test_agrees_with_fixpoint_oracle(self, seed):
         spec = random_wellformed_spec(seed)
-        trs = build_trs(spec)
+        states = spec.typestate.states
         start = spec.typestate.start
-        reachable = fixpoint_reachable(trs.tuples, start)
-        productive = fixpoint_productive(trs.tuples, spec.typestate.states)
-        for state in spec.typestate.states:
-            assert is_reachable(state, trs, start) == (state in reachable)
-            assert is_productive(state, trs) == (state in productive)
+        full = sorted(build_trs(spec).tuples, key=repr)
+        # A seeded subset of the tuples, sometimes plus one into an undeclared
+        # state, leaves unreachable, unproductive, disconnected and dangling
+        # nodes.
+        rng = random.Random(seed)
+        pruned = {t for t in full if rng.random() < 0.6}
+        if rng.random() < 0.5:
+            pruned.add((rng.choice(list(states)), "ghost", None, "Dangling"))
+        for tuples in (frozenset(full), frozenset(pruned)):
+            trs = TransitionSet(tuples)
+            reachable = fixpoint_reachable(tuples, start)
+            productive = fixpoint_productive(tuples, states)
+            for state in states:
+                assert is_reachable(state, trs, start) == (state in reachable)
+                assert is_productive(state, trs) == (state in productive)
+
+            # The indexed rules report exactly what the oracles imply, in
+            # declaration order.
+            terminal_exists = any(all(t[0] != s for t in tuples) for s in states)
+            expected = []
+            for state in states:
+                if not is_reachable(state, trs, start):
+                    expected.append((RULE_USEFUL_STATES, state, "not reachable from the start state"))
+                if terminal_exists and not is_productive(state, trs):
+                    expected.append((RULE_USEFUL_STATES, state, "cannot reach a terminal state"))
+            component = fixpoint_weak_component(tuples, start)
+            if len(states) > 1:
+                expected += [
+                    (RULE_WEAK_CONNECTIVITY, state, "disconnected from the rest of the typestate")
+                    for state in states
+                    if state not in component
+                ]
+            got = [
+                (d.rule, d.state, d.detail)
+                for d in check_transition_rules(spec, trs)
+                if d.rule in (RULE_USEFUL_STATES, RULE_WEAK_CONNECTIVITY)
+            ]
+            assert got == expected
 
 
 class TestTransitionRules:
