@@ -30,6 +30,7 @@ Parsing is deterministic and aborts on the first error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,32 +73,19 @@ _KEYWORDS = {
     "boolean",
 }
 
-# Multi-character operators first so the lexer takes the longest match.
-_PUNCT = (
-    ":=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "{",
-    "}",
-    "[",
-    "]",
-    "(",
-    ")",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    ",",
-    ";",
-    ":",
-    "=",
-    "!",
-    "?",
-    "_",
+# One alternative per token class, tried in order.  Multi-character operators
+# come first so the longest one wins; explicit ASCII classes keep non-ASCII
+# letters and digits out of identifiers and numbers.  ``1.`` is an int followed
+# by an unexpected ``.``.  Any other character matches ``error``.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<float>[0-9]+\.[0-9]+)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<punct>:=|==|!=|<=|>=|&&|[{}\[\]()<>+\-*,;:=!?])"
+    r"|(?P<error>.)"
 )
 
 
@@ -124,63 +112,23 @@ class _Token:
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
             col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col, 1)
-        # Identifiers are ASCII alphanumerics plus underscore.
-        if ch == "_" or ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
-            j = i
-            while j < n and (
-                text[j] == "_"
-                or "a" <= text[j] <= "z"
-                or "A" <= text[j] <= "Z"
-                or "0" <= text[j] <= "9"
-            ):
-                j += 1
-            word = text[i:j]
-            if word == "_":
-                tokens.append(_Token("_", word, span))
-            else:
-                tokens.append(_Token("ident", word, SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                tokens.append(_Token("float", text[i:j], SourceSpan(line, col, j - i)))
-            else:
-                tokens.append(_Token("int", text[i:j], SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(punct, punct, SourceSpan(line, col, len(punct))))
-                col += len(punct)
-                i += len(punct)
-                break
-        else:
-            raise ParseError("syntax", f"unexpected character {ch!r}", span)
+        elif kind == "error":
+            raise ParseError(
+                "syntax", f"unexpected character {m.group()!r}", SourceSpan(line, col, 1)
+            )
+        elif kind != "comment":  # a comment does not advance the column
+            word = m.group()
+            if kind != "space":
+                # Punctuation and a bare ``_`` are typed by their own text.
+                if kind == "punct" or word == "_":
+                    kind = word
+                tokens.append(_Token(kind, word, SourceSpan(line, col, len(word))))
+            col += len(word)
     tokens.append(_Token("eof", "", SourceSpan(line, col, 0)))
     return tokens
 

@@ -6,9 +6,14 @@ For a monitorable action (one with a numeric ratio ``mu``) executing in state
 before they are incremented, where ``n`` counts all monitored executions in
 ``s`` and ``p`` those of this action.  The verdict compares it against the
 closed interval ``[mu - E, mu + E]``.  Counters persist across re-entries to
-a state.  Events that do not match any transition (or arrive on the wrong
-session side) are logged as illegal and leave the monitor untouched; the
-monitor never blocks transitions.
+a state.  Events that do not match any transition, arrive on the wrong
+session side or fail to evaluate (an int64 overflow in an assignment) are
+logged as illegal and leave the monitor untouched; the monitor never blocks
+transitions.
+
+One loop, ``_resume``, consumes events: :func:`run_trace` runs it over a
+whole trace from the initial configuration and :func:`monitor_step` over a
+single event, so the fold and the trace run cannot drift apart.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import IO, Iterable, Mapping, Optional, Union
 
 from . import semantics
 from .model import ProtocolSpec, StateBody, Value, resolve_state
-from .semantics import IllegalActionError, TInfo, VarStore
+from .semantics import EvalError, IllegalActionError, TInfo, VarStore
 
 __all__ = [
     "LogEntry",
@@ -123,17 +128,52 @@ def initial_monitor(spec: ProtocolSpec) -> MTInfo:
     return MTInfo(state=cfg.state, store=cfg.store, n={}, p={}, log=())
 
 
-def _illegal(cfg: MTInfo, ev: TraceEvent) -> MTInfo:
-    entry = LogEntry(
-        state=cfg.state,
-        action=ev.action,
-        mu=None,
-        interval=None,
-        observed=None,
-        verdict=VERDICT_ILLEGAL,
-        event_index=ev.seq,
-    )
-    return MTInfo(cfg.state, cfg.store, cfg.n, cfg.p, cfg.log + (entry,))
+def _resume(
+    spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, events: Iterable[TraceEvent]
+) -> MTInfo:
+    """The monitor loop: consume ``events`` starting from ``cfg``.
+
+    Counters and the log are copied once and updated in place, so each event
+    costs the same however long the trace is; ``cfg`` itself is not changed.
+    """
+    state, store = cfg.state, cfg.store
+    n = dict(cfg.n)
+    p = dict(cfg.p)
+    log = list(cfg.log)
+    for ev in events:
+        body = resolve_state(spec.typestate, state)
+        found = body.find(ev.action) if isinstance(body, StateBody) else None
+        outcome = None
+        if found is not None and ev.direction == (DIRECTION_IN if found[1] else DIRECTION_OUT):
+            try:
+                outcome = semantics.step(spec, TInfo(state, store), ev.action, ev.value)
+            except (IllegalActionError, EvalError):
+                pass
+        if outcome is None:
+            log.append(
+                LogEntry(state, ev.action, None, None, None, VERDICT_ILLEGAL, ev.seq)
+            )
+            continue
+        mu = found[0].ratio
+        if mu is not None:
+            n_before = n.get(state, 0)
+            p_before = p.get((state, ev.action), 0)
+            observed = (p_before + 1) / (n_before + 1)
+            bound = conf.bound_for(state, ev.action)
+            low, high = mu - bound, mu + bound
+            if n_before + 1 < conf.warmup:
+                verdict = VERDICT_WARMUP
+            elif observed < low:
+                verdict = VERDICT_DEVIATION_LOW
+            elif observed > high:
+                verdict = VERDICT_DEVIATION_HIGH
+            else:
+                verdict = VERDICT_OK
+            log.append(LogEntry(state, ev.action, mu, (low, high), observed, verdict, ev.seq))
+            n[state] = n_before + 1
+            p[(state, ev.action)] = p_before + 1
+        state, store = outcome.next.state, outcome.next.store
+    return MTInfo(state, store, n, p, tuple(log))
 
 
 def monitor_step(
@@ -141,65 +181,21 @@ def monitor_step(
 ) -> MTInfo:
     """Consume one event and return the next monitor configuration.
 
-    Illegal events (no matching transition, wrong value, or a direction that
-    contradicts the branch's session side) produce an illegal log entry and
-    change nothing else.  Legal events advance the semantics; those with a
-    numeric ratio also update the counters and append a verdict entry.
+    Illegal events (no matching transition, wrong value, a direction that
+    contradicts the branch's session side, or an expression that cannot be
+    evaluated) produce an illegal log entry and change nothing else.  Legal
+    events advance the semantics; those with a numeric ratio also update the
+    counters and append a verdict entry.  ``cfg`` is not changed.
     """
-    body = resolve_state(spec.typestate, cfg.state)
-    found = body.find(ev.action) if isinstance(body, StateBody) else None
-    if found is None:
-        return _illegal(cfg, ev)
-    branch, is_input = found
-    if ev.direction != (DIRECTION_IN if is_input else DIRECTION_OUT):
-        return _illegal(cfg, ev)
-    try:
-        outcome = semantics.step(spec, TInfo(cfg.state, cfg.store), ev.action, ev.value)
-    except IllegalActionError:
-        return _illegal(cfg, ev)
-
-    if branch.ratio is None:
-        return MTInfo(outcome.next.state, outcome.next.store, cfg.n, cfg.p, cfg.log)
-
-    state = cfg.state
-    n_before = cfg.n.get(state, 0)
-    p_before = cfg.p.get((state, ev.action), 0)
-    observed = (p_before + 1) / (n_before + 1)
-    mu = branch.ratio
-    bound = conf.bound_for(state, ev.action)
-    low, high = mu - bound, mu + bound
-    if n_before + 1 < conf.warmup:
-        verdict = VERDICT_WARMUP
-    elif observed < low:
-        verdict = VERDICT_DEVIATION_LOW
-    elif observed > high:
-        verdict = VERDICT_DEVIATION_HIGH
-    else:
-        verdict = VERDICT_OK
-    entry = LogEntry(
-        state=state,
-        action=ev.action,
-        mu=mu,
-        interval=(low, high),
-        observed=observed,
-        verdict=verdict,
-        event_index=ev.seq,
-    )
-    n = dict(cfg.n)
-    n[state] = n_before + 1
-    p = dict(cfg.p)
-    p[(state, ev.action)] = p_before + 1
-    return MTInfo(outcome.next.state, outcome.next.store, n, p, cfg.log + (entry,))
+    return _resume(spec, cfg, conf, (ev,))
 
 
 def run_trace(
     spec: ProtocolSpec, conf: MonitorConfig, events: Iterable[TraceEvent]
 ) -> MTInfo:
-    """Fold :func:`monitor_step` over an event sequence ordered by ``seq``."""
-    cfg = initial_monitor(spec)
-    for ev in events:
-        cfg = monitor_step(spec, cfg, conf, ev)
-    return cfg
+    """Monitor an event sequence ordered by ``seq`` from the initial
+    configuration; equal to folding :func:`monitor_step` over it."""
+    return _resume(spec, initial_monitor(spec), conf, events)
 
 
 # --------------------------------------------------------------------------
@@ -220,13 +216,21 @@ def trace_event_to_json(ev: TraceEvent) -> dict:
 def trace_event_from_json(obj: dict) -> TraceEvent:
     if not isinstance(obj, dict):
         raise ValueError(f"trace event is not a JSON object: {obj!r}")
-    return TraceEvent(
+    ev = TraceEvent(
         participant=obj["participant"],
         action=obj["action"],
         direction=obj["dir"],
         value=obj.get("value"),
         seq=obj["seq"],
     )
+    if not isinstance(ev.participant, str) or not isinstance(ev.action, str):
+        raise ValueError(f"participant and action must be strings: {obj!r}")
+    if ev.direction not in (DIRECTION_IN, DIRECTION_OUT):
+        raise ValueError(f"dir must be {DIRECTION_IN!r} or {DIRECTION_OUT!r}: {obj!r}")
+    # bool is a subclass of int but not a sequence number.
+    if type(ev.seq) is not int:
+        raise ValueError(f"seq must be an integer: {obj!r}")
+    return ev
 
 
 def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:

@@ -185,6 +185,30 @@ class TestMonitor:
         assert (tmp_path / "out.log").read_text() == ""
         assert json.loads(result.stdout)["events"] == 0
 
+    def test_overflow_is_logged_illegal(self, runner, tmp_path):
+        spec = tmp_path / "overflow.tsp"
+        spec.write_text(
+            "const big = 9223372036854775807\n"
+            "var x = 0\n"
+            "assign A: x := x + big\n"
+            "state S0 = !{ unit tick() [0.5; [A]; []] : S0, unit stop() [0.5; []; []] : E }\n"
+            "state E = end\n"
+        )
+        trace = tmp_path / "ticks.jsonl"
+        trace.write_text(
+            "".join(
+                json.dumps({"participant": "p", "action": "tick", "dir": "out", "seq": i}) + "\n"
+                for i in range(3)
+            )
+        )
+        result = invoke(runner, ["monitor", str(spec), "--trace", str(trace)])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.stderr
+        summary = json.loads(result.stderr.strip().splitlines()[-1])
+        assert summary["illegal"] == 2
+        verdicts = [json.loads(line)["verdict"] for line in result.stdout.splitlines()]
+        assert verdicts == ["warmup", "illegal", "illegal"]
+
     def test_log_to_stdout_summary_to_stderr(self, runner, tmp_path):
         self._simulate(runner, tmp_path)
         result = invoke(
@@ -198,7 +222,31 @@ class TestMonitor:
         assert "events" in json.loads(result.stderr.strip().splitlines()[-1])
 
     @pytest.mark.parametrize(
-        "line", ["not json", "[1, 2]", "3", "null"], ids=["not-json", "array", "number", "null"]
+        "line",
+        [
+            "not json",
+            "[1, 2]",
+            "3",
+            "null",
+            '{"participant": "s", "action": "msg", "dir": "out", "seq": "x"}',
+            '{"participant": "s", "action": "msg", "dir": "out", "seq": true}',
+            '{"participant": "s", "action": "msg", "dir": "out", "seq": [3]}',
+            '{"participant": "s", "action": "msg", "dir": "sideways", "seq": 0}',
+            '{"participant": 7, "action": "msg", "dir": "out", "seq": 0}',
+            '{"participant": "s", "action": null, "dir": "out", "seq": 0}',
+        ],
+        ids=[
+            "not-json",
+            "array",
+            "number",
+            "null",
+            "seq-string",
+            "seq-bool",
+            "seq-list",
+            "dir-unknown",
+            "participant-number",
+            "action-null",
+        ],
     )
     def test_malformed_trace(self, runner, tmp_path, line):
         trace = tmp_path / "junk.jsonl"

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmon import specs
-from tsmon.dsl import ParseError, parse_protocol, serialize_protocol
-from tsmon.model import DecisionDest, PlainDest
+from tsmon.dsl import ParseError, _lex, parse_protocol, serialize_protocol
+from tsmon.model import DecisionDest, PlainDest, SourceSpan
 
 from specgen import random_wellformed_spec
 
@@ -147,6 +147,70 @@ class TestErrors:
         line = text.splitlines()[err.span.line - 1]
         token = line[err.span.column - 1 : err.span.column - 1 + err.span.length]
         assert token == "2.0"
+
+
+# Pieces that always lex as exactly one token when set off by a separator.
+_TOKEN_PIECES = st.one_of(
+    st.tuples(st.sampled_from("azAZ_"), st.text("azAZ_09", max_size=5)).map("".join),
+    st.tuples(st.text("0189", min_size=1, max_size=4), st.sampled_from(["", ".0", ".25"])).map(
+        "".join
+    ),
+    st.sampled_from(":= == != <= >= && { } [ ] ( ) < > + - * , ; : = ! ?".split()),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\r", "\n", " \t", " // note\n"])
+# Characters outside the token alphabet; ``.`` is one unless it sits between
+# digits, and the non-ASCII letter and digit are not identifier characters.
+_FOREIGN = st.sampled_from([".", "\u00e9", "\f", "\u0663", "@", "#"])
+
+
+@st.composite
+def _tokenish(draw):
+    """Source text, the token pieces in it, and the offset of its first
+    foreign character (``None`` if it has none)."""
+    text, words, first_foreign = "", [], None
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            if first_foreign is None:
+                first_foreign = len(text)
+            text += draw(_FOREIGN)
+        else:
+            word = draw(_TOKEN_PIECES)
+            words.append(word)
+            text += draw(_SEPARATORS) + word
+    return text, words, first_foreign
+
+
+def _offset(text, span):
+    line_start = sum(len(line) + 1 for line in text.split("\n")[: span.line - 1])
+    return line_start + span.column - 1
+
+
+class TestLexer:
+    @settings(max_examples=200, deadline=None)
+    @given(_tokenish())
+    def test_token_spans_slice_the_source(self, case):
+        text, words, first_foreign = case
+        if first_foreign is not None:
+            with pytest.raises(ParseError) as info:
+                _lex(text)
+            assert info.value.message.startswith("unexpected character")
+            assert info.value.span.length == 1
+            assert _offset(text, info.value.span) == first_foreign
+            return
+        tokens = _lex(text)
+        assert tokens[-1].type == "eof"
+        assert [t.text for t in tokens[:-1]] == words
+        for tok in tokens[:-1]:
+            start = _offset(text, tok.span)
+            assert text[start : start + tok.span.length] == tok.text
+
+    def test_int_then_dot_is_an_error_at_the_dot(self):
+        with pytest.raises(ParseError) as info:
+            _lex("x 1.")
+        assert info.value.span == SourceSpan(1, 4, 1)
+
+    def test_comment_does_not_advance_the_column(self):
+        assert _lex("ab // c")[-1].span == SourceSpan(1, 4, 0)
 
 
 class TestRoundTrip:

@@ -4,7 +4,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsmon import specs
+from tsmon.model import decisions_of
 from tsmon.monitor import (
     MonitorConfig,
     TraceEvent,
@@ -22,7 +26,7 @@ from tsmon.monitor import (
     write_log,
     write_trace,
 )
-from tsmon.semantics import step
+from tsmon.semantics import EvalError, IllegalActionError, initial_config, step
 from tsmon.simnet import SplitMix64
 
 
@@ -204,6 +208,60 @@ class TestRunTrace:
     def test_observed_ratio_stays_in_half_open_unit_interval(self, receiver):
         result = run_trace(receiver, MonitorConfig(warmup=0), r1_stream(50))
         assert all(0.0 < e.observed <= 1.0 for e in result.log)
+
+
+@st.composite
+def _walk(draw, spec):
+    """Events of a random walk through ``spec``, with wrong-direction,
+    unknown-action and bad-value events mixed in."""
+    cfg = initial_config(spec)
+    events = []
+    for seq in range(draw(st.integers(0, 40))):
+        body = spec.typestate.states.get(cfg.state)
+        offered = []
+        if body is not None:
+            offered += [(br.action.name, "in") for br in body.in_branches]
+            offered += [(br.action.name, "out") for br in body.out_branches]
+        kind = draw(st.sampled_from(["legal"] * 6 + ["direction", "unknown", "value"]))
+        if not offered or kind == "unknown":
+            events.append(TraceEvent("x", "nope", "in", None, seq))
+            continue
+        action, direction = draw(st.sampled_from(offered))
+        values = sorted(decisions_of(spec.typestate, cfg.state, action), key=repr)
+        value = draw(st.sampled_from(values))
+        if kind == "direction":
+            direction = "out" if direction == "in" else "in"
+        elif kind == "value":
+            value = "bogus"
+        events.append(TraceEvent("x", action, direction, value, seq))
+        if kind == "legal":
+            try:
+                cfg = step(spec, cfg, action, value).next
+            except (IllegalActionError, EvalError):
+                pass
+    return events
+
+
+class TestFold:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_run_trace_equals_step_fold(self, data):
+        spec = specs.load(data.draw(st.sampled_from(specs.BUNDLED)))
+        events = data.draw(_walk(spec))
+        k = data.draw(st.integers(0, len(events)))
+        conf = MonitorConfig(error_bound=0.2, warmup=2)
+        whole = run_trace(spec, conf, events)
+        cfg = initial_monitor(spec)
+        for ev in events:
+            cfg = monitor_step(spec, cfg, conf, ev)
+        assert cfg == whole
+        prefix = run_trace(spec, conf, events[:k])
+        cfg = prefix
+        for ev in events[k:]:
+            cfg = monitor_step(spec, cfg, conf, ev)
+        assert cfg == whole
+        # monitor_step left the configurations it was given unchanged.
+        assert prefix == run_trace(spec, conf, events[:k])
 
 
 class TestJsonl:
