@@ -25,7 +25,10 @@ attribute block and the trailing post-assignment list may be omitted and
 default to ``[_; []; []]`` and ``[]``.  A terminal state is written
 ``state X = end``.
 
-Parsing is deterministic and aborts on the first error.
+Parsing is deterministic and aborts on the first error.  An expression may
+nest at most :data:`MAX_EXPR_DEPTH` levels, counting each parenthesis and
+each operator on the path from its root to a leaf, so that the recursive
+walks over expressions stay within the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from .model import (
 )
 
 __all__ = ["ParseError", "parse_protocol", "serialize_protocol"]
+
+MAX_EXPR_DEPTH = 100
 
 _KEYWORDS = {
     "state",
@@ -240,7 +245,7 @@ class _Parser:
         name = self.expect_ident("variable name")
         self.declare("var", name)
         self.expect("=", "'='")
-        self.vars[name.text] = self.parse_expr(refs_kind="init")
+        self.vars[name.text] = self.parse_expr(refs_kind="init")[0]
 
     def parse_assign(self) -> None:
         key = self.expect_ident("assignment key")
@@ -249,7 +254,7 @@ class _Parser:
         target = self.expect_ident("target variable")
         self.pending_refs.append(("target", target.text, key.text, target.span))
         self.expect(":=", "':='")
-        expr = self.parse_expr(refs_kind="expr")
+        expr = self.parse_expr(refs_kind="expr")[0]
         self.assigns[key.text] = Assignment(target=target.text, expr=expr)
 
     def parse_pred(self) -> None:
@@ -281,7 +286,7 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_comparison(self) -> Comparison:
-        left = self.parse_expr(refs_kind="expr")
+        left = self.parse_expr(refs_kind="expr")[0]
         tok = self.peek()
         if tok.type in ("==", "!=", "<", "<=", ">", ">="):
             op = self.advance().type
@@ -290,41 +295,56 @@ class _Parser:
             op = "=="
         else:
             raise ParseError("syntax", f"expected a comparison operator, found {tok.text!r}", tok.span)
-        right = self.parse_expr(refs_kind="expr")
+        right = self.parse_expr(refs_kind="expr")[0]
         return Comparison(op=op, left=left, right=right)
 
-    def parse_expr(self, refs_kind: str) -> Expr:
-        left = self.parse_term(refs_kind)
+    # Each expression parser returns the expression with its depth: the
+    # ``nest`` enclosing parentheses plus the most operators and parentheses
+    # on any path from its root to a leaf.
+
+    def check_depth(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(
+                "range", f"expression nested deeper than {MAX_EXPR_DEPTH} levels", tok.span
+            )
+        return depth
+
+    def parse_expr(self, refs_kind: str, nest: int = 0) -> tuple[Expr, int]:
+        left, depth = self.parse_term(refs_kind, nest)
         while self.peek().type in ("+", "-"):
-            op = self.advance().type
-            left = BinOp(op=op, left=left, right=self.parse_term(refs_kind))
-        return left
+            op = self.advance()
+            right, right_depth = self.parse_term(refs_kind, nest)
+            left = BinOp(op=op.type, left=left, right=right)
+            depth = self.check_depth(1 + max(depth, right_depth), op)
+        return left, depth
 
-    def parse_term(self, refs_kind: str) -> Expr:
-        left = self.parse_factor(refs_kind)
+    def parse_term(self, refs_kind: str, nest: int) -> tuple[Expr, int]:
+        left, depth = self.parse_factor(refs_kind, nest)
         while self.at("*"):
-            self.advance()
-            left = BinOp(op="*", left=left, right=self.parse_factor(refs_kind))
-        return left
+            op = self.advance()
+            right, right_depth = self.parse_factor(refs_kind, nest)
+            left = BinOp(op="*", left=left, right=right)
+            depth = self.check_depth(1 + max(depth, right_depth), op)
+        return left, depth
 
-    def parse_factor(self, refs_kind: str) -> Expr:
+    def parse_factor(self, refs_kind: str, nest: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.type == "int":
             self.advance()
-            return IntLit(int(tok.text))
+            return IntLit(int(tok.text)), nest
         if tok.type == "-":
             self.advance()
             lit = self.expect("int", "integer literal")
-            return IntLit(-int(lit.text))
+            return IntLit(-int(lit.text)), nest
         if tok.type == "(":
             self.advance()
-            inner = self.parse_expr(refs_kind)
+            inner = self.parse_expr(refs_kind, self.check_depth(nest + 1, tok))
             self.expect(")", "')'")
             return inner
         if tok.type == "ident" and tok.text not in _KEYWORDS:
             self.advance()
             self.pending_refs.append((refs_kind, tok.text, "", tok.span))
-            return Name(tok.text)
+            return Name(tok.text), nest
         raise ParseError("syntax", f"expected an expression, found {tok.text or 'end of input'!r}", tok.span)
 
     # -- states --------------------------------------------------------------

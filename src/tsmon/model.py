@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 __all__ = [
-    "ActionAttrs",
     "ActionSignature",
     "Assignment",
     "BinOp",
@@ -42,10 +41,8 @@ __all__ = [
     "Value",
     "actions_of",
     "decisions_of",
-    "dest_of",
     "enum_labels",
     "expr_names",
-    "attrs",
     "outcome_text",
     "ratios_of",
     "resolve_state",
@@ -415,16 +412,6 @@ class ProtocolSpec:
 # --------------------------------------------------------------------------
 
 
-class ActionAttrs(NamedTuple):
-    """Attributes of one action in one state."""
-
-    ratio: Optional[float]
-    dest: Destination
-    pre_assigns: tuple[str, ...]
-    post_assigns: tuple[str, ...]
-    preds: tuple[str, ...]
-
-
 def resolve_state(ts: Typestate, state: str) -> Union[StateBody, str]:
     """Return the body bound to ``state``, or the name itself if undefined.
 
@@ -443,23 +430,13 @@ def actions_of(ts: Typestate, state: str) -> frozenset[str]:
     return frozenset(br.action.name for br in body.branches())
 
 
-def attrs(ts: Typestate, state: str, action: str) -> ActionAttrs:
-    """Attributes of ``action`` in ``state``, whichever session side holds it."""
-    body = resolve_state(ts, state)
-    found = body.find(action) if isinstance(body, StateBody) else None
-    if found is None:
-        raise UndefinedActionError(f"state {state!r} offers no action {action!r}")
-    br, _ = found
-    return ActionAttrs(br.ratio, br.dest, br.pre_assigns, br.post_assigns, br.preds)
-
-
-def dest_of(ts: Typestate, state: str, action: str) -> Destination:
-    return attrs(ts, state, action).dest
-
-
 def decisions_of(ts: Typestate, state: str, action: str) -> frozenset[Value]:
     """Outcome set of an action: its decision labels, or {None} when plain."""
-    dest = dest_of(ts, state, action)
+    body = ts.states.get(state)
+    found = body.find(action) if body is not None else None
+    if found is None:
+        raise UndefinedActionError(f"state {state!r} offers no action {action!r}")
+    dest = found[0].dest
     if isinstance(dest, DecisionDest):
         return dest.outcomes()
     return frozenset((None,))

@@ -13,7 +13,9 @@ transitions.
 
 One loop, ``_resume``, consumes events: :func:`run_trace` runs it over a
 whole trace from the initial configuration and :func:`monitor_step` over a
-single event, so the fold and the trace run cannot drift apart.
+single event, so the fold and the trace run cannot drift apart.  It hands
+each event to :func:`tsmon.semantics.step` once and takes the branch's
+session side and ratio from the result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Union
 
 from . import semantics
-from .model import ProtocolSpec, StateBody, Value, resolve_state
+from .model import ProtocolSpec, Value
 from .semantics import EvalError, IllegalActionError, TInfo, VarStore
 
 __all__ = [
@@ -141,20 +143,16 @@ def _resume(
     p = dict(cfg.p)
     log = list(cfg.log)
     for ev in events:
-        body = resolve_state(spec.typestate, state)
-        found = body.find(ev.action) if isinstance(body, StateBody) else None
-        outcome = None
-        if found is not None and ev.direction == (DIRECTION_IN if found[1] else DIRECTION_OUT):
-            try:
-                outcome = semantics.step(spec, TInfo(state, store), ev.action, ev.value)
-            except (IllegalActionError, EvalError):
-                pass
-        if outcome is None:
+        try:
+            outcome = semantics.step(spec, TInfo(state, store), ev.action, ev.value)
+        except (IllegalActionError, EvalError):
+            outcome = None
+        if outcome is None or ev.direction != (DIRECTION_IN if outcome.is_input else DIRECTION_OUT):
             log.append(
                 LogEntry(state, ev.action, None, None, None, VERDICT_ILLEGAL, ev.seq)
             )
             continue
-        mu = found[0].ratio
+        mu = outcome.branch.ratio
         if mu is not None:
             n_before = n.get(state, 0)
             p_before = p.get((state, ev.action), 0)
@@ -242,15 +240,21 @@ def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent])
 
 
 def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
+    """Events of one participant's trace; raises ValueError on a malformed
+    line or on events of more than one participant."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    return [
+    events = [
         trace_event_from_json(json.loads(line))
         for line in text.splitlines()
         if line.strip()
     ]
+    participants = {ev.participant for ev in events}
+    if len(participants) > 1:
+        raise ValueError(f"events of several participants: {sorted(participants)}")
+    return events
 
 
 def log_entry_to_json(entry: LogEntry) -> dict:

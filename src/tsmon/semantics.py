@@ -5,6 +5,11 @@ Executing an action first applies its pre-assignments, then evaluates its
 predicates: if they do not all hold the configuration keeps its state (a
 non-triggering step), otherwise it moves to the destination selected by the
 returned value and applies the post-assignments.
+
+:func:`step` is the one place that resolves (state, action) to a branch: it
+looks the action up once and returns the branch with its session side, so
+the monitor reads the ratio and checks an event's direction (a wrong one is
+still illegal) and the simulator writes trace directions from that result.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Mapping
 
 from .model import (
     Assignment,
+    Branch,
     Comparison,
     Expr,
     IntLit,
@@ -22,9 +28,7 @@ from .model import (
     Predicate,
     ProtocolSpec,
     SpecError,
-    UndefinedActionError,
     Value,
-    attrs,
 )
 
 __all__ = [
@@ -72,13 +76,6 @@ class VarStore:
             return self.consts[name]
         raise EvalError(f"unknown name {name!r}")
 
-    def set(self, name: str, value: int) -> "VarStore":
-        if name not in self.vars:
-            raise EvalError(f"{name!r} is not a variable")
-        updated = dict(self.vars)
-        updated[name] = value
-        return VarStore(vars=updated, consts=self.consts)
-
 
 @dataclass(frozen=True)
 class TInfo:
@@ -90,11 +87,14 @@ class TInfo:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of executing one action: the next configuration and whether
-    the transition triggered (``False`` keeps the pre-step state)."""
+    """Result of executing one action: the next configuration, whether the
+    transition triggered (``False`` keeps the pre-step state), the branch
+    that was executed and whether it sits on the state's input side."""
 
     next: TInfo
     triggered: bool
+    branch: Branch
+    is_input: bool
 
 
 def _check_range(value: int) -> int:
@@ -135,12 +135,21 @@ def update(
     keys: tuple[str, ...], store: VarStore, assigns: Mapping[str, Assignment]
 ) -> VarStore:
     """Apply the named assignments left to right; () returns the store as is."""
+    if not keys:
+        return store
+    # One copy per call: ``updated`` reads the dict the loop writes, so each
+    # assignment sees the ones before it.
+    values = dict(store.vars)
+    updated = VarStore(vars=values, consts=store.consts)
     for key in keys:
         rule = assigns.get(key)
         if rule is None:
             raise EvalError(f"unknown assignment key {key!r}")
-        store = store.set(rule.target, eval_expr(rule.expr, store))
-    return store
+        value = eval_expr(rule.expr, updated)
+        if rule.target not in values:
+            raise EvalError(f"{rule.target!r} is not a variable")
+        values[rule.target] = value
+    return updated
 
 
 def eval_preds(
@@ -170,30 +179,30 @@ def step(spec: ProtocolSpec, cfg: TInfo, action: str, value: Value = None) -> St
     ``value`` is the action's returned value: ``None`` for unit actions, a
     boolean or enumeration label for decisions.  Raises
     :class:`IllegalActionError` when the current state has no transition for
-    (action, value) -- a protocol violation.
+    (action, value) -- a protocol violation.  States that are not declared
+    offer no action.
     """
-    try:
-        found = attrs(spec.typestate, cfg.state, action)
-    except UndefinedActionError:
-        raise IllegalActionError(
-            f"state {cfg.state!r} offers no action {action!r}"
-        ) from None
-    if isinstance(found.dest, PlainDest):
+    body = spec.typestate.states.get(cfg.state)
+    found = body.find(action) if body is not None else None
+    if found is None:
+        raise IllegalActionError(f"state {cfg.state!r} offers no action {action!r}")
+    branch, is_input = found
+    if isinstance(branch.dest, PlainDest):
         if value is not None:
             raise IllegalActionError(
                 f"action {action!r} in state {cfg.state!r} returns no value, got {value!r}"
             )
-        target = found.dest.state
+        target = branch.dest.state
     else:
-        chosen = found.dest.target(value)
+        chosen = branch.dest.target(value)
         if chosen is None:
             raise IllegalActionError(
                 f"action {action!r} in state {cfg.state!r} has no outcome {value!r}"
             )
         target = chosen
     assigns = spec.internal.assigns
-    store = update(found.pre_assigns, cfg.store, assigns)
-    if not eval_preds(found.preds, store, spec.internal.preds):
-        return StepOutcome(next=TInfo(cfg.state, store), triggered=False)
-    store = update(found.post_assigns, store, assigns)
-    return StepOutcome(next=TInfo(target, store), triggered=True)
+    store = update(branch.pre_assigns, cfg.store, assigns)
+    if not eval_preds(branch.preds, store, spec.internal.preds):
+        return StepOutcome(TInfo(cfg.state, store), False, branch, is_input)
+    store = update(branch.post_assigns, store, assigns)
+    return StepOutcome(TInfo(target, store), True, branch, is_input)

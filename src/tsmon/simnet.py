@@ -2,9 +2,10 @@
 
 Participants execute every action through :func:`tsmon.semantics.step` on
 their bundled typestate, so the emitted traces conform by construction and a
-replay reproduces the exact configuration trajectory.  Messages that a
-participant ignores as outdated or duplicated are not action executions and
-do not appear in traces.
+replay reproduces the exact configuration trajectory.  Each trace event's
+direction is the session side of the branch that ``step`` executed.
+Messages that a participant ignores as outdated or duplicated are not action
+executions and do not appear in traces.
 
 Randomness comes from SplitMix64 so runs are reproducible bit for bit from
 the seed, also across reimplementations.  Stream layout: a master generator
@@ -210,8 +211,9 @@ class _Participant:
         self.cfg = semantics.initial_config(spec)
         self.events: list[TraceEvent] = []
 
-    def execute(self, action: str, direction: str) -> semantics.StepOutcome:
+    def execute(self, action: str) -> semantics.StepOutcome:
         outcome = semantics.step(self.spec, self.cfg, action)
+        direction = DIRECTION_IN if outcome.is_input else DIRECTION_OUT
         self.events.append(
             TraceEvent(self.name, action, direction, None, len(self.events))
         )
@@ -268,7 +270,7 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     state = {"bit": 0, "acked": 0}
 
     def emit_msg() -> None:
-        sender.execute("msg", DIRECTION_OUT)
+        sender.execute("msg")
         network.send("receiver", _Message("msg", "sender", bit=state["bit"]))
         loop.push(SimEvent(loop.now + cfg.resend_interval, "timer", "sender", state["acked"]))
 
@@ -281,15 +283,15 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             return
         msg = event.payload
         if event.dst == "receiver":
-            receiver.execute("msg", DIRECTION_IN)
+            receiver.execute("msg")
             if lazy_rng.uniform() < cfg.ack_prob:
-                receiver.execute("ack", DIRECTION_OUT)
+                receiver.execute("ack")
                 network.send("sender", _Message("ack", "receiver", bit=msg.bit))
             return
         # ack at the sender
         if state["acked"] >= cfg.rounds or msg.bit != state["bit"]:
             return  # outdated ack, ignored
-        sender.execute("ack", DIRECTION_IN)
+        sender.execute("ack")
         state["acked"] += 1
         if state["acked"] < cfg.rounds:
             state["bit"] ^= 1
@@ -341,7 +343,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     }
 
     def leader_vreq() -> None:
-        outcome = leader.execute("vreq", DIRECTION_OUT)
+        outcome = leader.execute("vreq")
         for name in peer_names:
             network.send(name, _Message("vreq", "leader", round=lstate["round"]))
         if outcome.next.state == "L2":
@@ -353,7 +355,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
 
     def finish_round() -> None:
         bit = majority_bit(lstate["votes"].values())
-        leader.execute("vwb", DIRECTION_OUT)
+        leader.execute("vwb")
         for name in peer_names:
             network.send(name, _Message("vwb", "leader", bit=bit, round=lstate["round"]))
         if lstate["round"] == cfg.voting_rounds:
@@ -376,7 +378,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
                 or msg.sender in lstate["votes"]
             ):
                 return  # outdated or duplicate acknowledgement
-            outcome = leader.execute("vack", DIRECTION_IN)
+            outcome = leader.execute("vack")
             lstate["votes"][msg.sender] = msg.bit
             if outcome.next.state == "L2":
                 finish_round()
@@ -387,10 +389,10 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             if msg.round <= st["closed"] or msg.round < st["max_round"]:
                 return  # a closed or superseded round
             st["max_round"] = msg.round
-            peer.execute("vreq", DIRECTION_IN)
+            peer.execute("vreq")
             if msg.round not in st["bits"]:
                 st["bits"][msg.round] = vote_rngs[event.dst].bit()
-            peer.execute("vack", DIRECTION_OUT)
+            peer.execute("vack")
             network.send(
                 "leader",
                 _Message("vack", event.dst, bit=st["bits"][msg.round], round=msg.round),
@@ -399,7 +401,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         else:  # vwb
             if msg.round <= st["closed"]:
                 return  # duplicate write-back
-            peer.execute("vwb", DIRECTION_IN)
+            peer.execute("vwb")
             st["closed"] = msg.round
             st["max_round"] = max(st["max_round"], msg.round)
 

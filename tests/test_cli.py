@@ -55,6 +55,23 @@ class TestValidate:
         assert result.exit_code == 3
         assert "parse error" in result.stderr
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "const c = 1\nvar x = " + "(" * 2000 + "c" + ")" * 2000 + "\nstate S = end\n",
+            "var x = 0\nassign A: x := x" + " + 1" * 3000
+            + "\nstate S = !{ unit a() [_; [A]; []] : S }\n",
+        ],
+        ids=["parentheses", "operator-chain"],
+    )
+    def test_deep_expression_is_a_range_error(self, runner, tmp_path, source):
+        deep = tmp_path / "deep.tsp"
+        deep.write_text(source)
+        result = invoke(runner, ["validate", str(deep)])
+        assert result.exit_code == 3
+        assert "parse error (range)" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestGraph:
     def test_writes_dot_file(self, runner, tmp_path):
@@ -234,6 +251,8 @@ class TestMonitor:
             '{"participant": "s", "action": "msg", "dir": "sideways", "seq": 0}',
             '{"participant": 7, "action": "msg", "dir": "out", "seq": 0}',
             '{"participant": "s", "action": null, "dir": "out", "seq": 0}',
+            '{"participant": "r", "action": "msg", "dir": "out", "seq": 0}\n'
+            '{"participant": "zzz", "action": "ack", "dir": "in", "seq": 1}',
         ],
         ids=[
             "not-json",
@@ -246,6 +265,7 @@ class TestMonitor:
             "dir-unknown",
             "participant-number",
             "action-null",
+            "participants-mixed",
         ],
     )
     def test_malformed_trace(self, runner, tmp_path, line):

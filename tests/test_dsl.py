@@ -141,6 +141,15 @@ class TestErrors:
         err = _error("const k = 1\n")
         assert err.kind == "syntax"
 
+    def test_expression_depth_limit(self):
+        # Parentheses and operators both count: (x + 1) nests two levels.
+        assign = "assign A: x := " + "(" * 49 + "x + 1" + ")" * 49 + " + 1" * 50
+        spec = parse_protocol(f"var x = 0\n{assign}\nstate S = end\n")
+        assert spec.internal.assigns["A"].expr.op == "+"
+        err = _error(f"var x = 0\n{assign} + 1\nstate S = end\n")
+        assert err.kind == "range"
+        assert (err.span.line, err.span.column) == (2, len(assign) + 2)
+
     def test_spans_point_into_source(self):
         text = "state S = !{ unit m() [2.0; []; []] : S [] }\n"
         err = _error(text)

@@ -17,7 +17,6 @@ from tsmon.model import (
     UndefinedActionError,
     UnknownEnumError,
     actions_of,
-    attrs,
     decisions_of,
     enum_labels,
     ratios_of,
@@ -40,38 +39,6 @@ class TestResolveState:
     def test_single_state_lookup(self):
         ts = Typestate(states={"Only": StateBody()})
         assert resolve_state(ts, "Only") == StateBody()
-
-
-class TestAttrs:
-    def test_receiver_ack(self, receiver):
-        got = attrs(receiver.typestate, "R1", "ack")
-        assert got.ratio == 0.5
-        assert got.dest == PlainDest("R1")
-
-    def test_leader_vack_carries_rules(self, leader):
-        got = attrs(leader.typestate, "L1", "vack")
-        assert got.pre_assigns == ("A1",)
-        assert got.preds == ("P1",)
-        assert got.dest == PlainDest("L2")
-        assert got.post_assigns == ("A3", "A4")
-
-    def test_absent_action_raises(self, leader):
-        with pytest.raises(UndefinedActionError):
-            attrs(leader.typestate, "L0", "vack")
-
-    def test_projections_agree_with_branches(self, leader, receiver, peer, auth):
-        for spec in (leader, receiver, peer, auth):
-            ts = spec.typestate
-            for state, body in ts.states.items():
-                for br in body.branches():
-                    got = attrs(ts, state, br.action.name)
-                    assert got == (
-                        br.ratio,
-                        br.dest,
-                        br.pre_assigns,
-                        br.post_assigns,
-                        br.preds,
-                    )
 
 
 class TestDecisionsOf:

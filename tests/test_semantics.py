@@ -6,7 +6,7 @@ import pytest
 
 from tsmon import specs
 from tsmon.dsl import parse_protocol
-from tsmon.model import DecisionDest, IntLit, Name, PlainDest
+from tsmon.model import DecisionDest, IntLit, Name, PlainDest, decisions_of
 from tsmon.semantics import (
     EvalError,
     IllegalActionError,
@@ -163,6 +163,17 @@ class TestStep:
         out = step(leader, cfg, "vreq")
         assert out.next.store.consts == cfg.store.consts
         assert set(out.next.store.vars) == set(cfg.store.vars)
+
+    def test_outcome_names_branch_and_side(self):
+        for name in specs.BUNDLED:
+            spec = specs.load(name)
+            start = initial_config(spec).store
+            for state, body in spec.typestate.states.items():
+                for br in body.branches():
+                    for value in decisions_of(spec.typestate, state, br.action.name):
+                        out = step(spec, TInfo(state, start), br.action.name, value)
+                        assert out.branch is br
+                        assert out.is_input == (br in body.in_branches)
 
 
 # --------------------------------------------------------------------------
