@@ -25,10 +25,13 @@ attribute block and the trailing post-assignment list may be omitted and
 default to ``[_; []; []]`` and ``[]``.  A terminal state is written
 ``state X = end``.
 
-Parsing is deterministic and aborts on the first error.  An expression may
-nest at most :data:`MAX_EXPR_DEPTH` levels, counting each parenthesis and
-each operator on the path from its root to a leaf, so that the recursive
-walks over expressions stay within the interpreter's stack.
+Parsing is deterministic and aborts on the first error.  The parser checks
+syntax and that no declaration kind names one thing twice; the structural
+rules belong to the :mod:`tsmon.model` constructors, and the parser reports
+their :class:`~tsmon.model.StructureError` at the offending token.  So that
+its own recursion stays within the interpreter's stack, an expression may
+nest at most :data:`~tsmon.model.MAX_EXPR_DEPTH` levels, counting each
+parenthesis and each operator on the path from its root to a leaf.
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ from .model import (
     Expr,
     IntLit,
     InternalStateDecl,
+    MAX_EXPR_DEPTH,
     Name,
     PlainDest,
     Predicate,
     ProtocolSpec,
     SourceSpan,
     StateBody,
+    StructureError,
     TypeRef,
     Typestate,
     Value,
@@ -61,8 +66,6 @@ from .model import (
 )
 
 __all__ = ["ParseError", "parse_protocol", "serialize_protocol"]
-
-MAX_EXPR_DEPTH = 100
 
 _KEYWORDS = {
     "state",
@@ -149,9 +152,10 @@ class _Parser:
         self.enums: dict[str, tuple[str, ...]] = {}
         self.states: dict[str, StateBody] = {}
         self.state_spans: dict[str, SourceSpan] = {}
-        # Spans remembered for the post-parse reference checks.
-        self.decl_spans: dict[tuple[str, str], SourceSpan] = {}
-        self.pending_refs: list[tuple[str, str, str, SourceSpan]] = []
+        self.decl = ""  # the keyword of the declaration being parsed
+        # Where each name occurs, keyed by the (role, scope, name) of the
+        # StructureError the model would report it with.
+        self.uses: dict[tuple[str, str, str], list[SourceSpan]] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -179,60 +183,61 @@ class _Parser:
             raise ParseError("syntax", f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
-    def keyword(self, word: str) -> bool:
-        if self.at("ident", word):
-            self.advance()
-            return True
-        return False
+    # -- locating model errors -----------------------------------------------
+
+    def note(self, role: str, tok: _Token, scope: str = "") -> None:
+        self.uses.setdefault((role, scope, tok.text), []).append(tok.span)
+
+    @staticmethod
+    def located(err: StructureError, spans: list[SourceSpan]) -> ParseError:
+        """``err`` at its token.  ``spans`` are the occurrences of the
+        offending name, a repeat's in the order the model reads them: a bad
+        reference is reported at its first use, a repeat at its second
+        occurrence."""
+        return ParseError(err.kind, str(err), spans[err.kind == "duplicate"])
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> ProtocolSpec:
+        parsers = {
+            "const": self.parse_const,
+            "var": self.parse_var,
+            "assign": self.parse_assign,
+            "pred": self.parse_pred,
+            "enum": self.parse_enum,
+            "state": self.parse_state,
+        }
         while not self.at("eof"):
-            if self.keyword("const"):
-                self.parse_const()
-            elif self.keyword("var"):
-                self.parse_var()
-            elif self.keyword("assign"):
-                self.parse_assign()
-            elif self.keyword("pred"):
-                self.parse_pred()
-            elif self.keyword("enum"):
-                self.parse_enum()
-            elif self.keyword("state"):
-                self.parse_state()
-            else:
-                tok = self.peek()
-                raise ParseError(
-                    "syntax",
-                    f"expected a declaration, found {tok.text or 'end of input'!r}",
-                    tok.span,
-                )
+            tok = self.peek()
+            if tok.type != "ident" or tok.text not in parsers:
+                raise ParseError("syntax", f"expected a declaration, found {tok.text!r}", tok.span)
+            self.decl = self.advance().text
+            parsers[self.decl]()
         if not self.states:
             raise ParseError("syntax", "no states declared", self.peek().span)
-        self.check_references()
-        internal = InternalStateDecl(
-            consts=self.consts,
-            vars=self.vars,
-            assigns=self.assigns,
-            preds=self.preds,
-            enums=self.enums,
-        )
-        ts = Typestate(states=self.states, state_spans=self.state_spans)
-        return ProtocolSpec(typestate=ts, internal=internal)
+        try:
+            internal = InternalStateDecl(
+                consts=self.consts,
+                vars=self.vars,
+                assigns=self.assigns,
+                preds=self.preds,
+                enums=self.enums,
+            )
+            ts = Typestate(states=self.states, state_spans=self.state_spans)
+            return ProtocolSpec(typestate=ts, internal=internal)
+        except StructureError as err:
+            raise self.located(err, self.uses[err.role, err.scope, err.name]) from None
 
-    def declare(self, kind: str, name: _Token) -> None:
-        # consts and vars share a namespace; assigns, preds and enums each
-        # have their own.
-        space = "name" if kind in ("const", "var") else kind
-        key = (space, name.text)
-        if key in self.decl_spans:
+    def declare(self, kind: str, name: _Token, table: dict) -> None:
+        # A dict holds one declaration per name, so the parser checks this
+        # rule itself; a const and a var of one name are the model's to reject.
+        if name.text in table:
             raise ParseError("duplicate", f"{kind} {name.text!r} is already declared", name.span)
-        self.decl_spans[key] = name.span
 
     def parse_const(self) -> None:
         name = self.expect_ident("constant name")
-        self.declare("const", name)
+        self.declare("const", name, self.consts)
+        self.note("declaration", name)
         self.expect("=", "'='")
         negate = False
         if self.at("-"):
@@ -243,23 +248,24 @@ class _Parser:
 
     def parse_var(self) -> None:
         name = self.expect_ident("variable name")
-        self.declare("var", name)
+        self.declare("var", name, self.vars)
+        self.note("declaration", name)
         self.expect("=", "'='")
-        self.vars[name.text] = self.parse_expr(refs_kind="init")[0]
+        self.vars[name.text] = self.parse_expr()[0]
 
     def parse_assign(self) -> None:
         key = self.expect_ident("assignment key")
-        self.declare("assign", key)
+        self.declare("assign", key, self.assigns)
         self.expect(":", "':'")
         target = self.expect_ident("target variable")
-        self.pending_refs.append(("target", target.text, key.text, target.span))
+        self.note("variable", target)
         self.expect(":=", "':='")
-        expr = self.parse_expr(refs_kind="expr")[0]
+        expr = self.parse_expr()[0]
         self.assigns[key.text] = Assignment(target=target.text, expr=expr)
 
     def parse_pred(self) -> None:
         key = self.expect_ident("predicate key")
-        self.declare("pred", key)
+        self.declare("pred", key, self.preds)
         self.expect(":", "':'")
         clauses = [self.parse_comparison()]
         while self.at("&&"):
@@ -269,24 +275,21 @@ class _Parser:
 
     def parse_enum(self) -> None:
         name = self.expect_ident("enum name")
-        self.declare("enum", name)
+        self.declare("enum", name, self.enums)
         self.expect("{", "'{'")
         labels = [self.expect_ident("enum label")]
-        label_spans = {labels[0].text: labels[0].span}
         while self.at(","):
             self.advance()
-            tok = self.expect_ident("enum label")
-            if tok.text in label_spans:
-                raise ParseError("duplicate", f"duplicate enum label {tok.text!r}", tok.span)
-            label_spans[tok.text] = tok.span
-            labels.append(tok)
+            labels.append(self.expect_ident("enum label"))
         self.expect("}", "'}'")
+        for tok in labels:
+            self.note("label", tok, scope=name.text)
         self.enums[name.text] = tuple(t.text for t in labels)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_comparison(self) -> Comparison:
-        left = self.parse_expr(refs_kind="expr")[0]
+        left = self.parse_expr()[0]
         tok = self.peek()
         if tok.type in ("==", "!=", "<", "<=", ">", ">="):
             op = self.advance().type
@@ -295,7 +298,7 @@ class _Parser:
             op = "=="
         else:
             raise ParseError("syntax", f"expected a comparison operator, found {tok.text!r}", tok.span)
-        right = self.parse_expr(refs_kind="expr")[0]
+        right = self.parse_expr()[0]
         return Comparison(op=op, left=left, right=right)
 
     # Each expression parser returns the expression with its depth: the
@@ -309,25 +312,25 @@ class _Parser:
             )
         return depth
 
-    def parse_expr(self, refs_kind: str, nest: int = 0) -> tuple[Expr, int]:
-        left, depth = self.parse_term(refs_kind, nest)
+    def parse_expr(self, nest: int = 0) -> tuple[Expr, int]:
+        left, depth = self.parse_term(nest)
         while self.peek().type in ("+", "-"):
             op = self.advance()
-            right, right_depth = self.parse_term(refs_kind, nest)
+            right, right_depth = self.parse_term(nest)
             left = BinOp(op=op.type, left=left, right=right)
             depth = self.check_depth(1 + max(depth, right_depth), op)
         return left, depth
 
-    def parse_term(self, refs_kind: str, nest: int) -> tuple[Expr, int]:
-        left, depth = self.parse_factor(refs_kind, nest)
+    def parse_term(self, nest: int) -> tuple[Expr, int]:
+        left, depth = self.parse_factor(nest)
         while self.at("*"):
             op = self.advance()
-            right, right_depth = self.parse_factor(refs_kind, nest)
+            right, right_depth = self.parse_factor(nest)
             left = BinOp(op="*", left=left, right=right)
             depth = self.check_depth(1 + max(depth, right_depth), op)
         return left, depth
 
-    def parse_factor(self, refs_kind: str, nest: int) -> tuple[Expr, int]:
+    def parse_factor(self, nest: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.type == "int":
             self.advance()
@@ -338,12 +341,13 @@ class _Parser:
             return IntLit(-int(lit.text)), nest
         if tok.type == "(":
             self.advance()
-            inner = self.parse_expr(refs_kind, self.check_depth(nest + 1, tok))
+            inner = self.parse_expr(self.check_depth(nest + 1, tok))
             self.expect(")", "')'")
             return inner
         if tok.type == "ident" and tok.text not in _KEYWORDS:
             self.advance()
-            self.pending_refs.append((refs_kind, tok.text, "", tok.span))
+            # An initializer may only use constants; other expressions also variables.
+            self.note("constant" if self.decl == "var" else "name", tok)
             return Name(tok.text), nest
         raise ParseError("syntax", f"expected an expression, found {tok.text or 'end of input'!r}", tok.span)
 
@@ -351,10 +355,10 @@ class _Parser:
 
     def parse_state(self) -> None:
         name = self.expect_ident("state name")
-        if name.text in self.states:
-            raise ParseError("duplicate", f"state {name.text!r} is already declared", name.span)
+        self.declare("state", name, self.states)
         self.expect("=", "'='")
-        if self.keyword("end"):
+        if self.at("ident", "end"):
+            self.advance()
             body = StateBody()
         else:
             first_kind, first = self.parse_session()
@@ -373,20 +377,13 @@ class _Parser:
                     in_branches = second
                 else:
                     out_branches = second
-            self.check_branch_names(in_branches + out_branches)
-            body = StateBody(in_branches=in_branches, out_branches=out_branches)
+            try:
+                body = StateBody(in_branches=in_branches, out_branches=out_branches)
+            except StructureError as err:
+                spans = [b.span for b in in_branches + out_branches if b.action.name == err.name]
+                raise self.located(err, spans) from None
         self.states[name.text] = body
         self.state_spans[name.text] = name.span
-
-    def check_branch_names(self, branches: tuple[Branch, ...]) -> None:
-        seen: dict[str, SourceSpan] = {}
-        for br in branches:
-            span = br.span or SourceSpan(0, 0)
-            if br.action.name in seen:
-                raise ParseError(
-                    "duplicate", f"duplicate action {br.action.name!r} in state", span
-                )
-            seen[br.action.name] = span
 
     def parse_session(self) -> tuple[str, tuple[Branch, ...]]:
         tok = self.peek()
@@ -422,7 +419,7 @@ class _Parser:
             return TypeRef("boolean")
         if tok.text in _KEYWORDS:
             raise ParseError("syntax", f"expected a type, found {tok.text!r}", tok.span)
-        self.pending_refs.append(("enum", tok.text, "", tok.span))
+        self.note("enum", tok)
         return TypeRef("enum", tok.text)
 
     def parse_branch(self) -> Branch:
@@ -437,10 +434,12 @@ class _Parser:
                 params.append(self.parse_param())
         self.expect(")", "')'")
         ratio: Optional[float] = None
+        ratio_tok = self.peek()
         pre: tuple[str, ...] = ()
         preds: tuple[str, ...] = ()
         if self.at("["):
             self.advance()
+            ratio_tok = self.peek()
             ratio = self.parse_ratio()
             self.expect(";", "';'")
             pre = self.parse_key_list("assign")
@@ -452,15 +451,18 @@ class _Parser:
         post: tuple[str, ...] = ()
         if self.at("["):
             post = self.parse_key_list("assign")
-        return Branch(
-            action=ActionSignature(name.text, tuple(params), rtype),
-            ratio=ratio,
-            pre_assigns=pre,
-            preds=preds,
-            dest=dest,
-            post_assigns=post,
-            span=name.span,
-        )
+        try:
+            return Branch(
+                action=ActionSignature(name.text, tuple(params), rtype),
+                ratio=ratio,
+                pre_assigns=pre,
+                preds=preds,
+                dest=dest,
+                post_assigns=post,
+                span=name.span,
+            )
+        except StructureError as err:  # a ratio outside [0, 1]
+            raise self.located(err, [ratio_tok.span]) from None
 
     def parse_param(self) -> str:
         tok = self.peek()
@@ -478,24 +480,20 @@ class _Parser:
             return None
         if tok.type in ("int", "float"):
             self.advance()
-            value = float(tok.text)
-            if not 0.0 <= value <= 1.0:
-                raise ParseError("range", f"ratio {tok.text} outside [0, 1]", tok.span)
-            return value
+            return float(tok.text)
         raise ParseError("syntax", f"expected a ratio or '_', found {tok.text!r}", tok.span)
 
     def parse_key_list(self, kind: str) -> tuple[str, ...]:
         self.expect("[", "'['")
         keys: list[str] = []
         if not self.at("]"):
-            tok = self.expect_ident(f"{kind} key")
-            self.pending_refs.append((kind, tok.text, "", tok.span))
-            keys.append(tok.text)
-            while self.at(","):
-                self.advance()
+            while True:
                 tok = self.expect_ident(f"{kind} key")
-                self.pending_refs.append((kind, tok.text, "", tok.span))
+                self.note(kind, tok)
                 keys.append(tok.text)
+                if not self.at(","):
+                    break
+                self.advance()
         self.expect("]", "']'")
         return tuple(keys)
 
@@ -503,18 +501,16 @@ class _Parser:
         if self.at("<"):
             self.advance()
             cases = [self.parse_case()]
-            outcomes = {cases[0][0]}
             while self.at(","):
                 self.advance()
-                case = self.parse_case()
-                if case[0] in outcomes:
-                    raise ParseError(
-                        "duplicate", f"duplicate decision outcome {outcome_text(case[0])!r}", case[2]
-                    )
-                outcomes.add(case[0])
-                cases.append(case)
+                cases.append(self.parse_case())
             self.expect(">", "'>'")
-            return DecisionDest(cases=tuple((o, s) for o, s, _ in cases))
+            try:
+                return DecisionDest(cases=tuple((o, s) for o, s, _ in cases))
+            except StructureError as err:
+                raise self.located(
+                    err, [span for o, _, span in cases if outcome_text(o) == err.name]
+                ) from None
         tok = self.expect_ident("a destination state or '<'")
         return PlainDest(state=tok.text)
 
@@ -536,46 +532,13 @@ class _Parser:
         state = self.expect_ident("a destination state")
         return outcome, state.text, tok.span
 
-    # -- reference resolution ------------------------------------------------
-
-    def check_references(self) -> None:
-        declared = self.consts.keys() | self.vars.keys()
-        for kind, name, ctx, span in self.pending_refs:
-            if kind == "init":
-                if name in self.vars:
-                    raise ParseError(
-                        "reference",
-                        f"initializers may only reference constants, {name!r} is a variable",
-                        span,
-                    )
-                if name not in self.consts:
-                    raise ParseError("reference", f"undeclared constant {name!r}", span)
-            elif kind == "expr":
-                if name not in declared:
-                    raise ParseError("reference", f"undeclared name {name!r}", span)
-            elif kind == "target":
-                if name in self.consts:
-                    raise ParseError(
-                        "reference", f"assignment target {name!r} is a constant", span
-                    )
-                if name not in self.vars:
-                    raise ParseError("reference", f"undeclared variable {name!r}", span)
-            elif kind == "assign":
-                if name not in self.assigns:
-                    raise ParseError("reference", f"undeclared assignment key {name!r}", span)
-            elif kind == "pred":
-                if name not in self.preds:
-                    raise ParseError("reference", f"undeclared predicate key {name!r}", span)
-            elif kind == "enum":
-                if name not in self.enums:
-                    raise ParseError("reference", f"undeclared enum {name!r}", span)
-
 
 def parse_protocol(text: str) -> ProtocolSpec:
     """Parse ``.tsp`` source into a structurally valid :class:`ProtocolSpec`.
 
-    Raises :class:`ParseError` on the first syntax, range, reference or
-    duplicate-name error.  Well-formedness rules are not checked here.
+    Raises :class:`ParseError` on the first syntax error or broken
+    structural rule, at the offending token.  Well-formedness rules are not
+    checked here.
     """
     return _Parser(text).parse_file()
 

@@ -8,13 +8,19 @@ predicates) and enumerations used as action return types.
 All values are immutable after construction and safe to share between
 threads.  Source locations (:class:`SourceSpan`) are carried for diagnostics
 but excluded from structural equality.
+
+The constructors own the structural rules of a spec (names resolve, no name
+is both a const and a var, no action, decision outcome or enum label is
+repeated, ratios lie in [0, 1], expressions nest at most
+:data:`MAX_EXPR_DEPTH` operator levels) and raise :class:`StructureError`
+naming the offending token; the parser adds its span.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Container, Iterable, Optional, Union
 
 __all__ = [
     "ActionSignature",
@@ -27,6 +33,7 @@ __all__ = [
     "Expr",
     "IntLit",
     "InternalStateDecl",
+    "MAX_EXPR_DEPTH",
     "Name",
     "PlainDest",
     "Predicate",
@@ -34,6 +41,7 @@ __all__ = [
     "SourceSpan",
     "SpecError",
     "StateBody",
+    "StructureError",
     "TypeRef",
     "Typestate",
     "UndefinedActionError",
@@ -42,7 +50,6 @@ __all__ = [
     "actions_of",
     "decisions_of",
     "enum_labels",
-    "expr_names",
     "outcome_text",
     "ratios_of",
     "resolve_state",
@@ -52,6 +59,10 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Operator levels allowed in one expression, so that the recursive walks over
+# expressions (evaluation, serialization) stay within the interpreter's stack.
+MAX_EXPR_DEPTH = 100
 
 # A transition value: None for actions with a plain destination, True/False
 # for boolean outcomes, a label string for enumeration outcomes.
@@ -80,6 +91,45 @@ class UndefinedActionError(SpecError):
 
 class UnknownEnumError(SpecError):
     """Raised when a type refers to an enumeration that is not declared."""
+
+
+class StructureError(ValueError):
+    """A broken structural rule: ``kind`` is ``reference``, ``duplicate`` or
+    ``range``, ``name`` the offending token as written in source and ``role``
+    what it stands for there.  For a reference, ``role`` is ``constant`` (in
+    an initializer), ``name`` (in another expression), ``variable`` (an
+    assignment target), ``assign``, ``pred`` or ``enum`` (named by a branch);
+    a repeat is an ``action``, ``outcome``, ``label`` (of the enum ``scope``)
+    or the ``declaration`` of a const and a var; out of range is a ``ratio``
+    or the ``expression`` of the declaration ``name``."""
+
+    def __init__(self, kind: str, role: str, name: str, message: str, scope: str = ""):
+        super().__init__(message)
+        self.kind, self.role, self.name, self.scope = kind, role, name, scope
+
+
+_ROLE_TEXT = {"assign": "assignment key", "pred": "predicate key"}
+
+
+def _resolve(
+    role: str, name: str, declared: Container[str], wrong: Container[str] = (), why: str = ""
+) -> None:
+    """Raise a ``reference`` error unless ``name`` is declared; ``why`` says
+    what is wrong with a name in ``wrong``."""
+    if name in wrong:
+        raise StructureError("reference", role, name, why.format(name))
+    if name not in declared:
+        raise StructureError("reference", role, name, f"undeclared {_ROLE_TEXT.get(role, role)} {name!r}")
+
+
+def _reject_repeats(role: str, message: str, values: Iterable[Value], scope: str = "") -> None:
+    """Raise a ``duplicate`` error for the first value seen twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            name = outcome_text(value)
+            raise StructureError("duplicate", role, name, message.format(name), scope)
+        seen.add(value)
 
 
 def _require_ident(name: str, what: str) -> None:
@@ -125,13 +175,22 @@ class BinOp:
 Expr = Union[IntLit, Name, BinOp]
 
 
-def expr_names(expr: Expr) -> frozenset[str]:
-    """Set of identifiers referenced by an integer expression."""
-    if isinstance(expr, IntLit):
-        return frozenset()
-    if isinstance(expr, Name):
-        return frozenset((expr.ident,))
-    return expr_names(expr.left) | expr_names(expr.right)
+def _names_within_depth(key: str, *exprs: Expr) -> list[str]:
+    """Identifiers of the expressions of declaration ``key``, left to right;
+    more than :data:`MAX_EXPR_DEPTH` operator levels is a ``range`` error.
+    The walk is iterative, so it is safe on any depth."""
+    names: list[str] = []
+    stack = [(expr, 1) for expr in reversed(exprs)]
+    while stack:
+        node, level = stack.pop()
+        if isinstance(node, Name):
+            names.append(node.ident)
+        elif isinstance(node, BinOp):
+            if level > MAX_EXPR_DEPTH:
+                message = f"expression of {key!r} nested deeper than {MAX_EXPR_DEPTH} levels"
+                raise StructureError("range", "expression", key, message)
+            stack += ((node.right, level + 1), (node.left, level + 1))
+    return names
 
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -157,12 +216,6 @@ class Predicate:
     def __post_init__(self) -> None:
         if not self.clauses:
             raise ValueError("predicate needs at least one comparison")
-
-    def names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for c in self.clauses:
-            out |= expr_names(c.left) | expr_names(c.right)
-        return out
 
 
 @dataclass(frozen=True)
@@ -237,13 +290,9 @@ class DecisionDest:
     def __post_init__(self) -> None:
         if not self.cases:
             raise ValueError("decision needs at least one outcome")
-        seen = set()
-        for outcome, _state in self.cases:
-            if outcome is None:
-                raise ValueError("decision outcomes cannot be empty")
-            if outcome in seen:
-                raise ValueError(f"duplicate decision outcome {outcome!r}")
-            seen.add(outcome)
+        if any(outcome is None for outcome, _state in self.cases):
+            raise ValueError("decision outcomes cannot be empty")
+        _reject_repeats("outcome", "duplicate decision outcome {!r}", (o for o, _ in self.cases))
 
     def target(self, outcome: Value) -> Optional[str]:
         for o, s in self.cases:
@@ -279,7 +328,7 @@ class Branch:
 
     def __post_init__(self) -> None:
         if self.ratio is not None and not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"ratio {self.ratio!r} outside [0, 1]")
+            raise StructureError("range", "ratio", repr(self.ratio), f"ratio {self.ratio!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -294,11 +343,7 @@ class StateBody:
     out_branches: tuple[Branch, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
-        for br in self.in_branches + self.out_branches:
-            if br.action.name in seen:
-                raise ValueError(f"duplicate action {br.action.name!r} in state")
-            seen.add(br.action.name)
+        _reject_repeats("action", "duplicate action {!r} in state", (b.action.name for b in self.branches()))
 
     def branches(self) -> tuple[Branch, ...]:
         return self.in_branches + self.out_branches
@@ -355,33 +400,24 @@ class InternalStateDecl:
     enums: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        overlapping = self.consts.keys() & self.vars.keys()
-        if overlapping:
-            raise ValueError(f"names declared as both const and var: {sorted(overlapping)}")
+        _reject_repeats("declaration", "name {!r} declared as both const and var", [*self.consts, *self.vars])
         declared = self.consts.keys() | self.vars.keys()
         for name, init in self.vars.items():
-            loose = expr_names(init) - self.consts.keys()
-            if loose:
-                raise ValueError(
-                    f"initializer of {name!r} may only use constants, got {sorted(loose)}"
-                )
+            for ident in _names_within_depth(name, init):
+                why = "initializers may only reference constants, {!r} is a variable"
+                _resolve("constant", ident, self.consts, self.vars, why)
         for key, assign in self.assigns.items():
-            if assign.target not in self.vars:
-                raise ValueError(
-                    f"assignment {key!r} targets {assign.target!r}, which is not a variable"
-                )
-            loose = expr_names(assign.expr) - declared
-            if loose:
-                raise ValueError(f"assignment {key!r} references undeclared {sorted(loose)}")
+            why = "assignment target {!r} is a constant, not a variable"
+            _resolve("variable", assign.target, self.vars, self.consts, why)
+            for ident in _names_within_depth(key, assign.expr):
+                _resolve("name", ident, declared)
         for key, pred in self.preds.items():
-            loose = pred.names() - declared
-            if loose:
-                raise ValueError(f"predicate {key!r} references undeclared {sorted(loose)}")
+            for ident in _names_within_depth(key, *(e for c in pred.clauses for e in (c.left, c.right))):
+                _resolve("name", ident, declared)
         for name, labels in self.enums.items():
             if not labels:
                 raise ValueError(f"enum {name!r} has no labels")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"enum {name!r} has duplicate labels")
+            _reject_repeats("label", "duplicate enum label {!r}", labels, scope=name)
 
 
 @dataclass(frozen=True)
@@ -393,18 +429,15 @@ class ProtocolSpec:
 
     def __post_init__(self) -> None:
         internal = self.internal
-        for state, body in self.typestate.states.items():
+        for body in self.typestate.states.values():
             for br in body.branches():
-                ctx = f"state {state!r}, action {br.action.name!r}"
                 for key in br.pre_assigns + br.post_assigns:
-                    if key not in internal.assigns:
-                        raise ValueError(f"{ctx}: undeclared assignment key {key!r}")
+                    _resolve("assign", key, internal.assigns)
                 for key in br.preds:
-                    if key not in internal.preds:
-                        raise ValueError(f"{ctx}: undeclared predicate key {key!r}")
+                    _resolve("pred", key, internal.preds)
                 rt = br.action.return_type
-                if rt.kind == "enum" and rt.enum_name not in internal.enums:
-                    raise ValueError(f"{ctx}: undeclared enum {rt.enum_name!r}")
+                if rt.kind == "enum":
+                    _resolve("enum", rt.enum_name, internal.enums)
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ session side and ratio from the result.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Union
@@ -74,11 +75,12 @@ class MonitorConfig:
     warmup: int = 10
 
     def __post_init__(self) -> None:
-        if self.error_bound <= 0:
-            raise ValueError("error bound must be positive")
+        # Written so that NaN fails too: every comparison with it is false.
+        if not 0 < self.error_bound < math.inf:
+            raise ValueError("error bound must be positive and finite")
         for key, bound in self.per_action_error.items():
-            if bound <= 0:
-                raise ValueError(f"error bound for {key} must be positive")
+            if not 0 < bound < math.inf:
+                raise ValueError(f"error bound for {key} must be positive and finite")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
 

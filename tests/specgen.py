@@ -4,13 +4,18 @@ Generated specs satisfy the well-formedness typestate rules by construction:
 decision destinations enumerate exactly the return type's labels, and
 declared ratios are multiples of 1/8 that sum to exactly 1 (dyadic, so the
 float sum is exact).  Reachability and productivity of the generated graphs
-are arbitrary on purpose.
+are arbitrary on purpose.  :func:`mutated_bundled_spec` instead draws
+mostly broken source text, for the parse-error contract.
 """
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
+from tsmon import specs
+from tsmon.dsl import _lex
 from tsmon.model import (
     ActionSignature,
     Assignment,
@@ -158,6 +163,50 @@ def random_stateful_spec(seed: int) -> ProtocolSpec:
         typestate=Typestate(states=states),
         internal=InternalStateDecl(consts=consts, vars=vars_, assigns=assigns, preds=preds),
     )
+
+
+# --------------------------------------------------------------------------
+# Token-level mutations of the bundled specs
+# --------------------------------------------------------------------------
+
+
+def _pieces(text: str) -> tuple[list[tuple[str, str]], str]:
+    """(gap, token) pairs that join back into ``text``, and the text after
+    the last token."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    pieces, end = [], 0
+    for tok in _lex(text)[:-1]:
+        start = line_starts[tok.span.line - 1] + tok.span.column - 1
+        pieces.append((text[end:start], tok.text))
+        end = start + len(tok.text)
+    return pieces, text[end:]
+
+
+_BUNDLED_PIECES = {name: _pieces(specs.source(name)) for name in specs.BUNDLED}
+# Every token of the bundled specs, plus undeclared names, an out-of-range
+# ratio and a character the lexer rejects.
+_WORDS = sorted(
+    {tok for pieces, _ in _BUNDLED_PIECES.values() for _, tok in pieces}
+    | {"A9", "Ghost", "1.5", "2", "@"}
+)
+
+
+@st.composite
+def mutated_bundled_spec(draw) -> str:
+    """A bundled spec with one to three token edits: a token replaced,
+    deleted, or preceded by an inserted one."""
+    pieces, tail = _BUNDLED_PIECES[draw(st.sampled_from(specs.BUNDLED))]
+    pieces = list(pieces)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del pieces[i]
+        elif edit == "replace":
+            pieces[i] = (pieces[i][0], draw(st.sampled_from(_WORDS)))
+        else:
+            pieces.insert(i, (" ", draw(st.sampled_from(_WORDS))))
+    return "".join(gap + tok for gap, tok in pieces) + tail
 
 
 # --------------------------------------------------------------------------

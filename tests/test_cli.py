@@ -4,9 +4,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
 
 from tsmon.cli import main
 from tsmon.specs import spec_path
+
+from specgen import mutated_bundled_spec
 
 
 @pytest.fixture()
@@ -71,6 +74,18 @@ class TestValidate:
         assert result.exit_code == 3
         assert "parse error (range)" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=mutated_bundled_spec())
+    def test_mutated_specs_exit_without_traceback(self, runner, tmp_path, text):
+        spec = tmp_path / "mutated.tsp"
+        spec.write_text(text)
+        result = invoke(runner, ["validate", str(spec)])
+        assert result.exit_code in (0, 1, 3)
+        assert "Traceback" not in result.stdout + result.stderr
 
 
 class TestGraph:
@@ -189,6 +204,17 @@ class TestMonitor:
         assert any(
             e["action"] == "ack" and e["verdict"] == "deviation_low" for e in entries
         )
+
+    def test_nan_error_bound_is_a_usage_error(self, runner, tmp_path):
+        self._simulate(runner, tmp_path)
+        result = invoke(
+            runner,
+            ["monitor", str(spec_path("receiver")), "--trace",
+             str(tmp_path / "receiver.jsonl"), "--error", "nan", "--warmup", "0"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "error bound" in result.stderr
 
     def test_empty_trace(self, runner, tmp_path):
         trace = tmp_path / "empty.jsonl"

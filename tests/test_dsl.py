@@ -8,7 +8,7 @@ from tsmon import specs
 from tsmon.dsl import ParseError, _lex, parse_protocol, serialize_protocol
 from tsmon.model import DecisionDest, PlainDest, SourceSpan
 
-from specgen import random_wellformed_spec
+from specgen import mutated_bundled_spec, random_wellformed_spec
 
 
 class TestParsing:
@@ -76,15 +76,25 @@ def _error(text):
     return info.value
 
 
+def _token(text, span):
+    """The source text a span covers."""
+    start = _offset(text, span)
+    return text[start : start + span.length]
+
+
 class TestErrors:
     def test_duplicate_state(self):
-        err = _error("state S0 = !{ unit m() : S0 }\nstate S0 = end\n")
+        text = "state S0 = !{ unit m() : S0 }\nstate S0 = end\n"
+        err = _error(text)
         assert err.kind == "duplicate"
         assert err.span.line == 2
+        assert _token(text, err.span) == "S0"
 
     def test_ratio_out_of_range(self):
-        err = _error("state S = !{ unit m() [1.5; []; []] : S [] }\n")
+        text = "state S = !{ unit m() [1.5; []; []] : S [] }\n"
+        err = _error(text)
         assert err.kind == "range"
+        assert _token(text, err.span) == "1.5"
 
     def test_negative_ratio_is_syntax_level(self):
         # The grammar has no signed ratio literals.
@@ -92,42 +102,63 @@ class TestErrors:
         assert err.kind == "syntax"
 
     def test_undeclared_assign_key(self):
-        err = _error("state S = !{ unit m() [_; [A9]; []] : S [] }\n")
+        text = "state S = !{ unit m() [_; [A9]; []] : S [] }\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert _token(text, err.span) == "A9"
 
     def test_undeclared_pred_key(self):
-        err = _error("state S = !{ unit m() [_; []; [P9]] : S [] }\n")
+        text = "state S = !{ unit m() [_; []; [P9]] : S [] }\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert _token(text, err.span) == "P9"
 
     def test_undeclared_enum(self):
-        err = _error("state S = ?{ Ghost m() : <a: S> }\n")
+        text = "state S = ?{ Ghost m() : <a: S> }\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert _token(text, err.span) == "Ghost"
 
     def test_duplicate_action_in_state(self):
-        err = _error("state S = !{ unit m() : S } + ?{ unit m() : S }\n")
+        text = "state S = !{ unit m() : S } + ?{ unit m() : S }\n"
+        err = _error(text)
         assert err.kind == "duplicate"
+        # The input side is read first, so the output side holds the repeat.
+        assert (_offset(text, err.span), _token(text, err.span)) == (text.index("m()"), "m")
 
     def test_duplicate_decision_outcome(self):
-        err = _error(
-            "enum E { a, b }\nstate S = ?{ E m() : <a: S, a: S> }\n"
-        )
+        text = "enum E { a, b }\nstate S = ?{ E m() : <a: S, a: S> }\n"
+        err = _error(text)
         assert err.kind == "duplicate"
+        assert (_offset(text, err.span), _token(text, err.span)) == (text.rindex("a: S"), "a")
+
+    def test_duplicate_enum_label(self):
+        text = "enum E { a, b }\nenum F { b, a, a }\nstate S = end\n"
+        err = _error(text)
+        assert err.kind == "duplicate"
+        assert _offset(text, err.span) == text.rindex("a }")
 
     def test_empty_ratio_in_decision_map(self):
         err = _error("enum E { a }\nstate S = ?{ E m() : <_: S> }\n")
         assert err.kind == "syntax"
 
     def test_var_initializer_referencing_var(self):
-        err = _error("var x = 0\nvar y = x\nstate S = end\n")
+        text = "var x = 0\nvar y = x\nstate S = end\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert (err.span.line, _token(text, err.span)) == (2, "x")
 
     def test_assignment_target_const(self):
-        err = _error("const k = 1\nvar x = 0\nassign A: k := 2\nstate S = end\n")
+        text = "const k = 1\nvar x = 0\nassign A: k := 2\nstate S = end\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert (err.span.line, _token(text, err.span)) == (3, "k")
 
     def test_pred_with_undeclared_name(self):
-        err = _error("pred P: ghost == 1\nstate S = end\n")
+        text = "pred P: ghost == 1\nstate S = end\n"
+        err = _error(text)
         assert err.kind == "reference"
+        assert _token(text, err.span) == "ghost"
 
     def test_two_output_sessions_rejected(self):
         err = _error("state S = !{ unit a() : S } + !{ unit b() : S }\n")
@@ -156,6 +187,21 @@ class TestErrors:
         line = text.splitlines()[err.span.line - 1]
         token = line[err.span.column - 1 : err.span.column - 1 + err.span.length]
         assert token == "2.0"
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_bundled_spec())
+    def test_mutated_specs_parse_or_raise_parse_error(self, text):
+        # Anything other than a spec or a ParseError escapes and fails the test.
+        try:
+            parse_protocol(text)
+        except ParseError as err:
+            assert err.kind in ("syntax", "range", "reference", "duplicate")
+            lines = text.split("\n")
+            assert 1 <= err.span.line <= len(lines)
+            assert 1 <= err.span.column
+            assert err.span.column - 1 + err.span.length <= len(lines[err.span.line - 1])
 
 
 # Pieces that always lex as exactly one token when set off by a separator.

@@ -3,8 +3,10 @@
 import pytest
 
 from tsmon.model import (
+    MAX_EXPR_DEPTH,
     ActionSignature,
     Assignment,
+    BinOp,
     Branch,
     DecisionDest,
     IntLit,
@@ -158,6 +160,22 @@ class TestInvariants:
     def test_initializer_must_use_constants(self):
         with pytest.raises(ValueError, match="constants"):
             InternalStateDecl(vars={"x": IntLit(0), "y": Name("x")})
+
+    def test_deep_expression_rejected(self):
+        def chain(depth):
+            expr = Name("x")
+            for _ in range(depth):
+                expr = BinOp("+", expr, IntLit(1))
+            return expr
+
+        def decl(expr):
+            return InternalStateDecl(vars={"x": IntLit(0)}, assigns={"A": Assignment("x", expr)})
+
+        decl(chain(MAX_EXPR_DEPTH))
+        with pytest.raises(ValueError, match="deeper than"):
+            decl(chain(MAX_EXPR_DEPTH + 1))
+        with pytest.raises(ValueError, match="deeper than"):
+            decl(chain(3000))
 
     def test_empty_typestate_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -305,9 +306,12 @@ class TestJsonl:
 
 
 class TestMonitorConfig:
-    def test_rejects_nonpositive_bound(self):
+    @pytest.mark.parametrize("bound", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_bound(self, bound):
         with pytest.raises(ValueError):
-            MonitorConfig(error_bound=0.0)
+            MonitorConfig(error_bound=bound)
+        with pytest.raises(ValueError):
+            MonitorConfig(per_action_error={("R1", "ack"): bound})
 
     def test_rejects_negative_warmup(self):
         with pytest.raises(ValueError):
