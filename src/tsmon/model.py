@@ -53,9 +53,7 @@ __all__ = [
     "outcome_text",
     "ratios_of",
     "resolve_state",
-    "BOOLEAN",
     "UNIT",
-    "enum_type",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -253,11 +251,6 @@ class TypeRef:
 
 
 UNIT = TypeRef("unit")
-BOOLEAN = TypeRef("boolean")
-
-
-def enum_type(name: str) -> TypeRef:
-    return TypeRef("enum", name)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,23 @@ whole trace from the initial configuration and :func:`monitor_step` over a
 single event, so the fold and the trace run cannot drift apart.  It hands
 each event to :func:`tsmon.semantics.step` once and takes the branch's
 session side and ratio from the result.
+
+The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
+per line gives.  A writer caches a format string made by ``json.dumps`` per
+distinct value of the fields that repeat from line to line, and fills in
+``seq``, or ``observed`` and ``event_index``; a line with a field of another
+type is dumped whole.  :func:`read_trace` parses a line in full only when its
+head (all before ``, "seq": ``) is new, and else reads just the ``seq``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union
+from typing import IO, Iterable, Mapping, Optional, Union, get_args
 
 from . import semantics
 from .model import ProtocolSpec, Value
@@ -59,6 +67,13 @@ VERDICT_ILLEGAL = "illegal"
 
 DIRECTION_IN = "in"
 DIRECTION_OUT = "out"
+
+# The types a trace event's ``value`` may have: None, bool and str.
+_VALUE_TYPES = get_args(Value)
+
+# The tail of a trace line after ``, "seq": ``: a JSON integer (of at most 100
+# digits; ``int()`` refuses 4300 by default) and the closing brace.
+_SEQ_TAIL = re.compile(r"-?(?:0|[1-9][0-9]{0,99})\}")
 
 
 @dataclass(frozen=True)
@@ -227,18 +242,44 @@ def trace_event_from_json(obj: dict) -> TraceEvent:
         raise ValueError(f"participant and action must be strings: {obj!r}")
     if ev.direction not in (DIRECTION_IN, DIRECTION_OUT):
         raise ValueError(f"dir must be {DIRECTION_IN!r} or {DIRECTION_OUT!r}: {obj!r}")
+    # A number would compare equal to a boolean outcome (1 == True).
+    if type(ev.value) not in _VALUE_TYPES:
+        raise ValueError(f"value must be null, a boolean or a string: {obj!r}")
     # bool is a subclass of int but not a sequence number.
     if type(ev.seq) is not int:
         raise ValueError(f"seq must be an integer: {obj!r}")
     return ev
 
 
-def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:
-    lines = "".join(json.dumps(trace_event_to_json(ev)) + "\n" for ev in events)
+def _template(obj: dict, **holes: str) -> str:
+    """``json.dumps(obj)`` as a %-format line, with ``holes`` mapping keys to conversions."""
+    text = json.dumps({**obj, **dict.fromkeys(holes)}).replace("%", "%%")
+    # A string value escapes its quotes, so only a key matches.
+    for key, conversion in holes.items():
+        text = text.replace(f'"{key}": null', f'"{key}": {conversion}', 1)
+    return text + "\n"
+
+
+def _write(target: Union[str, Path, IO[str]], lines: Iterable[str]) -> None:
+    text = "".join(lines)
     if isinstance(target, (str, Path)):
-        Path(target).write_text(lines, encoding="utf-8")
+        Path(target).write_text(text, encoding="utf-8")
     else:
-        target.write(lines)
+        target.write(text)
+
+
+def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:
+    lines, templates = [], {}
+    for ev in events:
+        p, a, d, v, seq = ev.participant, ev.action, ev.direction, ev.value, ev.seq
+        if type(seq) is int and type(p) is type(a) is type(d) is str and type(v) in _VALUE_TYPES:
+            template = templates.get((p, a, d, v))
+            if template is None:
+                template = templates[p, a, d, v] = _template(trace_event_to_json(ev), seq="%d")
+            lines.append(template % seq)
+        else:
+            lines.append(json.dumps(trace_event_to_json(ev)) + "\n")
+    _write(target, lines)
 
 
 def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
@@ -248,12 +289,24 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    events = [
-        trace_event_from_json(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    participants = {ev.participant for ev in events}
+    events, participants = [], set()
+    # A line is a head, ``, "seq": `` and a tail.  Once a line has parsed as
+    # an event, a later line with the same head differs from it only in seq.
+    heads: dict[str, tuple] = {}
+    for line in text.splitlines():
+        head, _, tail = line.rpartition(', "seq": ')
+        fields = heads.get(head)
+        if fields is not None and _SEQ_TAIL.fullmatch(tail):
+            events.append(TraceEvent(*fields, int(tail[:-1])))
+        elif line.strip():
+            try:
+                ev = trace_event_from_json(json.loads(line))
+            except RecursionError:
+                raise ValueError("trace line nests too deeply") from None
+            if _SEQ_TAIL.fullmatch(tail):
+                heads[head] = (ev.participant, ev.action, ev.direction, ev.value)
+            participants.add(ev.participant)
+            events.append(ev)
     if len(participants) > 1:
         raise ValueError(f"events of several participants: {sorted(participants)}")
     return events
@@ -272,8 +325,22 @@ def log_entry_to_json(entry: LogEntry) -> dict:
 
 
 def write_log(target: Union[str, Path, IO[str]], log: Iterable[LogEntry]) -> None:
-    lines = "".join(json.dumps(log_entry_to_json(e)) + "\n" for e in log)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(lines, encoding="utf-8")
-    else:
-        target.write(lines)
+    lines, templates = [], {}
+    for e in log:
+        mu, iv, obs, idx = e.mu, e.interval, e.observed, e.event_index
+        # mu and the interval key the cache, so they must be floats (1 and True
+        # equal 1.0) and not zero (0.0 equals -0.0).
+        if (type(idx) is int and type(obs) is float and math.isfinite(obs)
+                and type(mu) is float and mu and type(iv) is tuple and len(iv) == 2
+                and type(iv[0]) is type(iv[1]) is float and iv[0] and iv[1]
+                and type(e.state) is type(e.action) is type(e.verdict) is str):
+            key = (e.state, e.action, mu, iv, e.verdict)
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = _template(
+                    log_entry_to_json(e), observed="%r", event_index="%d"
+                )
+            lines.append(template % (obs, idx))
+        else:
+            lines.append(json.dumps(log_entry_to_json(e)) + "\n")
+    _write(target, lines)

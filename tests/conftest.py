@@ -1,11 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tsmon import specs
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci prints the reproduction blob of a failing example.
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -277,6 +277,10 @@ class TestMonitor:
             '{"participant": "s", "action": "msg", "dir": "sideways", "seq": 0}',
             '{"participant": 7, "action": "msg", "dir": "out", "seq": 0}',
             '{"participant": "s", "action": null, "dir": "out", "seq": 0}',
+            '{"participant": "s", "action": "msg", "dir": "out", "value": 1, "seq": 0}',
+            '{"participant": "s", "action": "msg", "dir": "out", "value": [1], "seq": 0}',
+            '{"participant": "s", "action": "msg", "dir": "out", "value": '
+            + "[" * 100_000 + "]" * 100_000 + ', "seq": 0}',
             '{"participant": "r", "action": "msg", "dir": "out", "seq": 0}\n'
             '{"participant": "zzz", "action": "ack", "dir": "in", "seq": 1}',
         ],
@@ -291,6 +295,9 @@ class TestMonitor:
             "dir-unknown",
             "participant-number",
             "action-null",
+            "value-int",
+            "value-list",
+            "value-deep",
             "participants-mixed",
         ],
     )

@@ -1,5 +1,6 @@
 """Monitor engine: verdict formula, counters, opacity, and JSONL round trips."""
 
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tsmon import specs
 from tsmon.model import decisions_of
 from tsmon.monitor import (
+    LogEntry,
     MonitorConfig,
     TraceEvent,
     VERDICT_DEVIATION_HIGH,
@@ -19,6 +21,7 @@ from tsmon.monitor import (
     VERDICT_OK,
     VERDICT_WARMUP,
     initial_monitor,
+    log_entry_to_json,
     monitor_step,
     read_trace,
     run_trace,
@@ -304,6 +307,173 @@ class TestJsonl:
         }
         assert first["interval"] == [0.25, 0.75]
 
+
+# Strings that JSON escapes, and '%', which the writers' format strings escape.
+_TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7f%é \U0001d11e '), max_size=5)
+_WORD = st.sampled_from(["r", "msg", "R1"]) | _TEXT
+_SEQS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), st.booleans())
+# Groups of values that compare equal but are written differently: a cache
+# keyed on one of them must not serve another.
+_NUMBERS = st.sampled_from(
+    [(0.0, -0.0, 0, False), (1.0, 1, True), (0.5,), (5e-324,), (0.1 + 0.2,), (-1e300,),
+     (math.inf,), (math.nan,)]
+)
+_VALUES = st.sampled_from([(None,), (True, 1, 1.0), (False, 0, -0.0), ("yes",), ('"%\\é',)])
+
+
+def _reference_lines(to_json, items):
+    return "".join(json.dumps(to_json(x)) + "\n" for x in items)
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - every error must match
+        return type(exc), str(exc)
+
+
+@st.composite
+def _events(draw):
+    """Events over a few (participant, action, dir, value group) shapes, each
+    event taking any member of its shape's value group."""
+    shapes = draw(st.lists(st.tuples(_WORD, _WORD, st.sampled_from(["in", "out"]) | _TEXT, _VALUES),
+                           min_size=1, max_size=3))
+    events = []
+    for _ in range(draw(st.integers(0, 16))):
+        participant, action, direction, values = draw(st.sampled_from(shapes))
+        events.append(
+            TraceEvent(participant, action, direction, draw(st.sampled_from(values)), draw(_SEQS))
+        )
+    return events
+
+
+@st.composite
+def _log(draw):
+    """Log entries over a few shapes whose numbers are groups of _NUMBERS,
+    each entry taking any member of each group."""
+    group = st.none() | _NUMBERS
+    shapes = draw(st.lists(st.tuples(_WORD, _WORD, group, st.none() | st.tuples(_NUMBERS, _NUMBERS),
+                                     _WORD), min_size=1, max_size=3))
+    pick = lambda g: None if g is None else draw(st.sampled_from(g))  # noqa: E731
+    log = []
+    for _ in range(draw(st.integers(0, 16))):
+        state, action, mu, interval, verdict = draw(st.sampled_from(shapes))
+        if interval is not None:
+            interval = (pick(interval[0]), pick(interval[1]))
+        observed = draw(st.none() | _NUMBERS.map(lambda g: g[0]) | st.floats())
+        log.append(LogEntry(state, action, pick(mu), interval, observed, verdict, draw(_SEQS)))
+    return log
+
+
+def _reference_read(text):
+    """``read_trace`` as one ``json.loads`` per line, without the line cache."""
+    events = [
+        trace_event_from_json(json.loads(line)) for line in text.splitlines() if line.strip()
+    ]
+    participants = {ev.participant for ev in events}
+    if len(participants) > 1:
+        raise ValueError(f"events of several participants: {sorted(participants)}")
+    return events
+
+
+# Tails after ``, "seq": `` that are not a plain JSON integer and a brace, or
+# that are one in an unusual spelling.
+_SEQ_TAILS = [
+    "01}", "-0}", " 1}", "1 }", "1.0}", "1e3}", "٣}", "1٣}", "true}", "1}}", "-}", "7}", "-12}"
+]
+# Ways to reshape a canonical line, given its head (all before ``, "seq": ``).
+_LINE_EDITS = {
+    "tail": lambda head, seq, tail: f'{head}, "seq": {tail}',
+    "trailing-space": lambda head, seq, tail: f'{head}, "seq": {seq}}}  ',
+    "crlf": lambda head, seq, tail: f'{head}, "seq": {seq}}}\r',
+    "blank-before": lambda head, seq, tail: f' \n{head}, "seq": {seq}}}',
+    "duplicate-seq": lambda head, seq, tail: f'{{"seq": "x", {head[1:]}, "seq": {seq}}}',
+    "seq-first": lambda head, seq, tail: f'{{"seq": {seq}, {head[1:]}}}',
+}
+
+
+@st.composite
+def _trace_text(draw):
+    """Canonical lines over a few line heads, many of them edited."""
+    participant = draw(st.sampled_from(["r", "s"]) | _TEXT)
+    shapes = draw(st.lists(st.tuples(_WORD, st.sampled_from(["in", "out", "up"]),
+                                     _VALUES.flatmap(st.sampled_from) | st.just([1])),
+                           min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        action, direction, value = draw(st.sampled_from(shapes))
+        seq = draw(st.integers(-3, 3) | st.integers(-(2**70), 2**70))
+        ev = TraceEvent(participant, action, direction, value, seq)
+        line = json.dumps(trace_event_to_json(ev))
+        edit = draw(st.sampled_from([None] * 3 + sorted(_LINE_EDITS) + ["tail"] * 3))
+        if edit is not None:
+            head = line.rpartition(', "seq": ')[0]
+            line = _LINE_EDITS[edit](head, seq, draw(st.sampled_from(_SEQ_TAILS)))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestCodecs:
+    """The writers and the reader cache what lines share; each must give
+    exactly what one ``json.dumps`` or ``json.loads`` per line gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_events())
+    def test_write_trace_equals_json_dumps(self, events):
+        out = io.StringIO()
+        write_trace(out, events)
+        assert out.getvalue() == _reference_lines(trace_event_to_json, events)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_log())
+    def test_write_log_equals_json_dumps(self, log):
+        out = io.StringIO()
+        write_log(out, log)
+        assert out.getvalue() == _reference_lines(log_entry_to_json, log)
+
+    @pytest.mark.parametrize(
+        "field, twins",
+        [("mu", (0.0, -0.0)), ("mu", (1.0, 1, True)), ("interval", ((-0.0, 0.5), (0.0, 0.5))),
+         ("interval", ((0.5, 1.0), (0.5, 1))), ("observed", (0.5, math.inf, math.nan)),
+         ("event_index", (1, True)), ("state", ("R1", 1))],
+    )
+    def test_write_log_keeps_equal_values_apart(self, field, twins):
+        base = LogEntry("R1", "ack", 0.5, (0.25, 0.75), 0.5, VERDICT_OK, 1)
+        log = [dataclasses.replace(base, **{field: twin}) for twin in twins + twins[::-1]]
+        out = io.StringIO()
+        write_log(out, log)
+        assert out.getvalue() == _reference_lines(log_entry_to_json, log)
+
+    @pytest.mark.parametrize(
+        "field, twins",
+        [("value", (True, 1, 1.0)), ("value", (False, 0, -0.0, None)), ("seq", (1, True)),
+         ("participant", ("r", 1))],
+    )
+    def test_write_trace_keeps_equal_values_apart(self, field, twins):
+        base = TraceEvent("r", "msg", "in", True, 1)
+        events = [dataclasses.replace(base, **{field: twin}) for twin in twins + twins[::-1]]
+        out = io.StringIO()
+        write_trace(out, events)
+        assert out.getvalue() == _reference_lines(trace_event_to_json, events)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_trace_text())
+    def test_read_trace_equals_per_line_json_loads(self, text):
+        assert _outcome(read_trace, io.StringIO(text)) == _outcome(_reference_read, text)
+
+    @pytest.mark.parametrize("tail", _SEQ_TAILS)
+    def test_known_head_with_another_tail(self, tail):
+        head = '{"participant": "r", "action": "msg", "dir": "in", "value": null'
+        text = f'{head}, "seq": 0}}\n{head}, "seq": {tail}\n'
+        assert _outcome(read_trace, io.StringIO(text)) == _outcome(_reference_read, text)
+
+    def test_known_head_takes_each_seq(self):
+        text = "".join(
+            f'{{"participant": "r", "action": "msg", "dir": "in", "value": null, "seq": {seq}}}\n'
+            for seq in ("0", "-0", "7", str(2**80), str(10**150))
+        )
+        assert [ev.seq for ev in read_trace(io.StringIO(text))] == [0, 0, 7, 2**80, 10**150]
 
 class TestMonitorConfig:
     @pytest.mark.parametrize("bound", [0.0, math.nan, math.inf])
