@@ -1,5 +1,6 @@
 """Simulation behaviour, determinism, conformance, and quorum safety."""
 
+import hashlib
 import json
 
 import pytest
@@ -260,3 +261,63 @@ class TestManifest:
             BitVoteConfig(n=0)
         with pytest.raises(ValueError):
             BitVoteConfig(peer_to_leader_drop=1.5)
+
+
+GRID_SEEDS = range(12)
+GRID_FAULTS = ((0.0, 0.0), (0.2, 0.1), (0.5, 0.3))
+ABP_GRID_DIGEST = "19a67ac42d84e95158a9931dc8b6347f6779cd459a470c6cc99e584fe0a3caf2"
+BITVOTE_GRID_DIGEST = "bf6265bf4277b0b64d99dbdb21a8750b167c9814bbe6f385d69f7c34bfd2fc3e"
+
+
+def _run_digest(hasher, label, run_fn, cfg):
+    """Feed one run's traces, ticks and truncation flag into ``hasher``, or
+    the exception's type and message when the run raises."""
+    hasher.update(label.encode())
+    try:
+        run = run_fn(cfg)
+    except Exception as exc:  # noqa: BLE001 - a crash is part of the output
+        hasher.update(f"raised {type(exc).__name__}: {exc}\n".encode())
+        return
+    hasher.update(f"ticks={run.ticks} truncated={run.truncated}\n".encode())
+    for name in sorted(run.traces):
+        for e in run.traces[name]:
+            hasher.update(
+                f"{e.participant} {e.action} {e.direction} {e.value!r} {e.seq}\n".encode()
+            )
+
+
+class TestGridDigest:
+    """Both simulators over a seed x fault x jitter x n x per-direction-drop
+    grid, hashed and pinned against a digest recorded from an earlier
+    version: a change to the event loop, the network or a handler that moves
+    any delivery, random draw or crash changes the digest."""
+
+    def test_abp_grid(self):
+        hasher = hashlib.sha256()
+        for seed in GRID_SEEDS:
+            for drop, dup in GRID_FAULTS:
+                cfg = AbpConfig(
+                    net=NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3),
+                    rounds=200,
+                    ack_prob=1.0 if seed % 2 else 0.7,
+                )
+                _run_digest(hasher, f"abp {cfg}\n", run_abp, cfg)
+        assert hasher.hexdigest() == ABP_GRID_DIGEST
+
+    def test_bitvote_grid(self):
+        hasher = hashlib.sha256()
+        for seed in GRID_SEEDS:
+            for drop, dup in GRID_FAULTS:
+                for n in (1, 3):
+                    for p2l in (None, 0.5):
+                        cfg = BitVoteConfig(
+                            net=NetConfig(
+                                seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3
+                            ),
+                            n=n,
+                            voting_rounds=10,
+                            peer_to_leader_drop=p2l,
+                        )
+                        _run_digest(hasher, f"bitvote {cfg}\n", run_bitvote, cfg)
+        assert hasher.hexdigest() == BITVOTE_GRID_DIGEST
+
