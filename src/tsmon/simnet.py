@@ -15,6 +15,13 @@ a fixed order (the ABP receiver's laziness stream; each bit-vote peer's vote
 stream in peer order).  Per message send the network stream draws, in order:
 the drop decision, the duplication decision, then, when jitter is non-zero,
 one delay draw per delivered copy.  Broadcasts send to peers in id order.
+
+Scheduling contract: the event loop holds pending handler calls and makes
+them ordered by (time, scheduling order); each delivered message copy and
+each fired timer is one call.  abp: msg → ``receiver_msg(bit)``, ack →
+``sender_ack(bit)``, resend timer → ``resend(epoch)``.  bitvote: vreq →
+``peer_vreq(name, round)``, vack → ``leader_vack(sender, round, bit)``,
+vwb → ``peer_vwb(name, round, bit)``, retry timer → ``retry(round)``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import semantics, specs
 from .model import ProtocolSpec
@@ -143,22 +150,6 @@ class BitVoteConfig:
             raise ValueError("peer_to_leader_drop must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class _Message:
-    action: str
-    sender: str
-    bit: Optional[int] = None
-    round: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: int
-    kind: str  # "deliver" | "timer"
-    dst: str
-    payload: object
-
-
 @dataclass
 class SimRun:
     """Result of one simulation: per-participant traces plus run metadata."""
@@ -183,22 +174,23 @@ class SimRun:
 
 class _EventLoop:
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._counter = 0
         self.now = 0
 
-    def push(self, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (event.time, self._counter, event))
+    def at(self, delay: int, fn: Callable[..., None], *args) -> None:
+        """Schedule the call ``fn(*args)`` ``delay`` ticks from now."""
+        heapq.heappush(self._heap, (self.now + delay, self._counter, fn, args))
         self._counter += 1
 
-    def run(self, handler, budget: int) -> bool:
-        """Dispatch events in (time, insertion) order; True if truncated."""
+    def run(self, budget: int) -> bool:
+        """Make the calls in (time, scheduling) order; True if truncated."""
         while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+            time, _, fn, args = heapq.heappop(self._heap)
             if time > budget:
                 return True
             self.now = time
-            handler(event)
+            fn(*args)
         return False
 
 
@@ -227,16 +219,31 @@ class _Network:
         self.net = net
         self.rng = rng
 
-    def send(self, dst: str, msg: _Message, drop_override: Optional[float] = None) -> None:
-        drop_prob = self.net.drop_prob if drop_override is None else drop_override
-        dropped = self.rng.uniform() < drop_prob
+    def send(self, deliver: Callable[..., None], *args, drop: Optional[float] = None) -> None:
+        """Schedule ``deliver(*args)`` once per surviving copy; ``drop``, when
+        set, replaces the configured drop probability."""
+        dropped = self.rng.uniform() < (self.net.drop_prob if drop is None else drop)
         duplicated = self.rng.uniform() < self.net.dup_prob
-        copies = (0 if dropped else 1) + (1 if duplicated else 0)
-        for _ in range(copies):
+        for _ in range((0 if dropped else 1) + (1 if duplicated else 0)):
             delay = self.net.base_delay
             if self.net.jitter:
                 delay += self.rng.randrange(self.net.jitter + 1)
-            self.loop.push(SimEvent(self.loop.now + delay, "deliver", dst, msg))
+            self.loop.at(delay, deliver, *args)
+
+
+def _finish(
+    protocol: str, cfg: object, loop: _EventLoop, tick_budget: int,
+    participants: Iterable[_Participant],
+) -> SimRun:
+    """Run ``loop`` within the tick budget; collect each participant's trace."""
+    truncated = loop.run(tick_budget)
+    return SimRun(
+        protocol=protocol,
+        traces={p.name: tuple(p.events) for p in participants},
+        ticks=loop.now,
+        truncated=truncated,
+        config=cfg,
+    )
 
 
 def majority_bit(votes: Iterable[int]) -> int:
@@ -267,48 +274,38 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     sender = _Participant("sender", specs.load("sender"))
     receiver = _Participant("receiver", specs.load("receiver"))
 
-    state = {"bit": 0, "acked": 0}
+    bit = 0
+    acked = 0
 
     def emit_msg() -> None:
         sender.execute("msg")
-        network.send("receiver", _Message("msg", "sender", bit=state["bit"]))
-        loop.push(SimEvent(loop.now + cfg.resend_interval, "timer", "sender", state["acked"]))
+        network.send(receiver_msg, bit)
+        loop.at(cfg.resend_interval, resend, acked)
 
-    def handle(event: SimEvent) -> None:
-        if event.kind == "timer":
-            # Resend epochs are counted in acks: a timer armed before the
-            # ack for its bit arrived is stale and does nothing.
-            if event.payload == state["acked"] and state["acked"] < cfg.rounds:
-                emit_msg()
-            return
-        msg = event.payload
-        if event.dst == "receiver":
-            receiver.execute("msg")
-            if lazy_rng.uniform() < cfg.ack_prob:
-                receiver.execute("ack")
-                network.send("sender", _Message("ack", "receiver", bit=msg.bit))
-            return
-        # ack at the sender
-        if state["acked"] >= cfg.rounds or msg.bit != state["bit"]:
+    def resend(epoch: int) -> None:
+        # Resend epochs are counted in acks: a timer armed before the ack
+        # for its bit arrived is stale and does nothing.
+        if epoch == acked and acked < cfg.rounds:
+            emit_msg()
+
+    def receiver_msg(msg_bit: int) -> None:
+        receiver.execute("msg")
+        if lazy_rng.uniform() < cfg.ack_prob:
+            receiver.execute("ack")
+            network.send(sender_ack, msg_bit)
+
+    def sender_ack(ack_bit: int) -> None:
+        nonlocal bit, acked
+        if acked >= cfg.rounds or ack_bit != bit:
             return  # outdated ack, ignored
         sender.execute("ack")
-        state["acked"] += 1
-        if state["acked"] < cfg.rounds:
-            state["bit"] ^= 1
+        acked += 1
+        if acked < cfg.rounds:
+            bit ^= 1
             emit_msg()
 
     emit_msg()
-    truncated = loop.run(handle, tick_budget)
-    return SimRun(
-        protocol="abp",
-        traces={
-            "sender": tuple(sender.events),
-            "receiver": tuple(receiver.events),
-        },
-        ticks=loop.now,
-        truncated=truncated,
-        config=cfg,
-    )
+    return _finish("abp", cfg, loop, tick_budget, (sender, receiver))
 
 
 # --------------------------------------------------------------------------
@@ -337,86 +334,66 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     peers = {name: _Participant(name, peer_spec) for name in peer_names}
     vote_rngs = {name: master.split() for name in peer_names}
 
-    lstate = {"round": 1, "votes": {}, "finished": False}
-    pstate = {
-        name: {"max_round": 0, "closed": 0, "bits": {}} for name in peer_names
-    }
+    current = 1  # the leader's round
+    votes: dict[str, int] = {}
+    finished = False
+    pstate = {name: {"max_round": 0, "closed": 0, "bits": {}} for name in peer_names}
 
     def leader_vreq() -> None:
         outcome = leader.execute("vreq")
         for name in peer_names:
-            network.send(name, _Message("vreq", "leader", round=lstate["round"]))
+            network.send(peer_vreq, name, current)
         if outcome.next.state == "L2":
             finish_round()
         else:
-            loop.push(
-                SimEvent(loop.now + cfg.retry_interval, "timer", "leader", lstate["round"])
-            )
+            loop.at(cfg.retry_interval, retry, current)
 
     def finish_round() -> None:
-        bit = majority_bit(lstate["votes"].values())
+        nonlocal current, votes, finished
+        bit = majority_bit(votes.values())
         leader.execute("vwb")
         for name in peer_names:
-            network.send(name, _Message("vwb", "leader", bit=bit, round=lstate["round"]))
-        if lstate["round"] == cfg.voting_rounds:
-            lstate["finished"] = True
+            network.send(peer_vwb, name, current, bit)
+        if current == cfg.voting_rounds:
+            finished = True
             return
-        lstate["round"] += 1
-        lstate["votes"] = {}
-        loop.push(SimEvent(loop.now + cfg.retry_interval, "timer", "leader", lstate["round"]))
+        current += 1
+        votes = {}
+        loop.at(cfg.retry_interval, retry, current)
 
-    def handle(event: SimEvent) -> None:
-        if event.kind == "timer":
-            if not lstate["finished"] and event.payload == lstate["round"]:
-                leader_vreq()
-            return
-        msg = event.payload
-        if event.dst == "leader":
-            if (
-                lstate["finished"]
-                or msg.round != lstate["round"]
-                or msg.sender in lstate["votes"]
-            ):
-                return  # outdated or duplicate acknowledgement
-            outcome = leader.execute("vack")
-            lstate["votes"][msg.sender] = msg.bit
-            if outcome.next.state == "L2":
-                finish_round()
-            return
-        peer = peers[event.dst]
-        st = pstate[event.dst]
-        if msg.action == "vreq":
-            if msg.round <= st["closed"] or msg.round < st["max_round"]:
-                return  # a closed or superseded round
-            st["max_round"] = msg.round
-            peer.execute("vreq")
-            if msg.round not in st["bits"]:
-                st["bits"][msg.round] = vote_rngs[event.dst].bit()
-            peer.execute("vack")
-            network.send(
-                "leader",
-                _Message("vack", event.dst, bit=st["bits"][msg.round], round=msg.round),
-                drop_override=cfg.peer_to_leader_drop,
-            )
-        else:  # vwb
-            if msg.round <= st["closed"]:
-                return  # duplicate write-back
-            peer.execute("vwb")
-            st["closed"] = msg.round
-            st["max_round"] = max(st["max_round"], msg.round)
+    def retry(rnd: int) -> None:
+        if not finished and rnd == current:
+            leader_vreq()
+
+    def leader_vack(sender: str, rnd: int, bit: int) -> None:
+        if finished or rnd != current or sender in votes:
+            return  # outdated or duplicate acknowledgement
+        outcome = leader.execute("vack")
+        votes[sender] = bit
+        if outcome.next.state == "L2":
+            finish_round()
+
+    def peer_vreq(name: str, rnd: int) -> None:
+        st = pstate[name]
+        if rnd <= st["closed"] or rnd < st["max_round"]:
+            return  # a closed or superseded round
+        st["max_round"] = rnd
+        peers[name].execute("vreq")
+        if rnd not in st["bits"]:
+            st["bits"][rnd] = vote_rngs[name].bit()
+        peers[name].execute("vack")
+        network.send(leader_vack, name, rnd, st["bits"][rnd], drop=cfg.peer_to_leader_drop)
+
+    def peer_vwb(name: str, rnd: int, bit: int) -> None:
+        st = pstate[name]
+        if rnd <= st["closed"]:
+            return  # duplicate write-back
+        peers[name].execute("vwb")
+        st["closed"] = rnd
+        st["max_round"] = max(st["max_round"], rnd)
 
     leader_vreq()
-    truncated = loop.run(handle, tick_budget)
-    traces = {"leader": tuple(leader.events)}
-    for name in peer_names:
-        traces[name] = tuple(peers[name].events)
-    return SimRun(
-        protocol="bitvote",
-        traces=traces,
-        ticks=loop.now,
-        truncated=truncated,
-        config=cfg,
-    )
+    return _finish("bitvote", cfg, loop, tick_budget, (leader, *peers.values()))
 
 
 # --------------------------------------------------------------------------
