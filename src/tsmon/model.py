@@ -288,9 +288,12 @@ class DecisionDest:
         _reject_repeats("outcome", "duplicate decision outcome {!r}", (o for o, _ in self.cases))
 
     def target(self, outcome: Value) -> Optional[str]:
-        for o, s in self.cases:
-            if o == outcome:
-                return s
+        """The state ``outcome`` selects, or ``None``.  Matching is type-exact:
+        a value that is not a bool or a string (``1``, ``1.0``) selects none."""
+        if isinstance(outcome, (bool, str)):
+            for o, s in self.cases:
+                if type(o) is type(outcome) and o == outcome:
+                    return s
         return None
 
     def outcomes(self) -> frozenset[Value]:

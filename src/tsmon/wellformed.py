@@ -352,7 +352,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     )
                 )
         else:
-            if (value, dst) not in dest.cases:
+            if dest.target(value) != dst:
                 diags.append(
                     Diagnostic(
                         rule=RULE_ENUMERABLE,

@@ -42,3 +42,14 @@ def auth():
 @pytest.fixture(scope="session")
 def counting():
     return specs.load("counting")
+
+
+@pytest.fixture(scope="session")
+def ask():
+    """A boolean decision: ``ask`` returns true (to S1) or false (stay)."""
+    from tsmon.dsl import parse_protocol
+
+    return parse_protocol(
+        "state S0 = !{ boolean ask() : <true: S1, false: S0> }\n"
+        "state S1 = ?{ unit done() : S0 }\n"
+    )

@@ -98,6 +98,10 @@ class TestMonitorStep:
         out = monitor_step(auth, cfg, conf, TraceEvent("c", "login", "in", "pending", 0))
         assert [e.verdict for e in out.log] == [VERDICT_ILLEGAL]
 
+    def test_number_for_boolean_outcome_is_illegal(self, ask):
+        result = run_trace(ask, MonitorConfig(warmup=0), [TraceEvent("p", "ask", "out", 1, 0)])
+        assert [e.verdict for e in result.log] == [VERDICT_ILLEGAL]
+
     def test_warmup_threshold_uses_updated_count(self, receiver):
         conf = MonitorConfig(error_bound=0.25, warmup=3)
         result = run_trace(receiver, conf, r1_stream(4))

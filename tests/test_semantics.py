@@ -150,6 +150,13 @@ class TestStep:
         with pytest.raises(IllegalActionError):
             step(auth, initial_config(auth), "login")
 
+    @pytest.mark.parametrize("value", [1, 1.0, 0])
+    def test_number_selects_no_boolean_outcome(self, ask, value):
+        cfg = initial_config(ask)
+        assert step(ask, cfg, "ask", True).next.state == "S1"
+        with pytest.raises(IllegalActionError):
+            step(ask, cfg, "ask", value)
+
     def test_value_on_plain_action(self, sender):
         with pytest.raises(IllegalActionError):
             step(sender, initial_config(sender), "msg", True)

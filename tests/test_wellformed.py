@@ -235,6 +235,14 @@ class TestTransitionRules:
         diags = check_transition_rules(auth, TransitionSet(pruned))
         assert any(d.rule == RULE_DECISION_TOTALITY for d in diags)
 
+    @pytest.mark.parametrize("value", [1, "yes"])
+    def test_tuple_with_foreign_outcome(self, ask, value):
+        # 1 == True in Python, so only a type-exact match flags the first.
+        tuples = build_trs(ask).tuples - {("S0", "ask", True, "S1")}
+        trs = TransitionSet(tuples | {("S0", "ask", value, "S1")})
+        diags = check_transition_rules(ask, trs)
+        assert any(d.rule == RULE_ENUMERABLE for d in diags)
+
     def test_tuple_with_wrong_plain_target(self, sender):
         trs = TransitionSet(
             frozenset(
