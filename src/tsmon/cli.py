@@ -20,6 +20,7 @@ from . import monitor as monitor_mod
 from . import simnet
 from .dsl import ParseError, parse_protocol
 from .model import ProtocolSpec
+from .semantics import EvalError
 from .wellformed import Diagnostic, build_trs, export_dot, validate
 
 __all__ = ["ExitStatus", "main"]
@@ -37,7 +38,7 @@ def _fail(code: ExitStatus, message: str) -> NoReturn:
     sys.exit(int(code))
 
 
-def _read_spec(path: str) -> tuple[ProtocolSpec, str]:
+def _read_spec(path: str) -> ProtocolSpec:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -45,7 +46,7 @@ def _read_spec(path: str) -> tuple[ProtocolSpec, str]:
     except UnicodeDecodeError as exc:
         _fail(ExitStatus.USAGE, f"cannot read {path}: {exc}")
     try:
-        return parse_protocol(text), text
+        return parse_protocol(text)
     except ParseError as exc:
         click.echo(
             f"parse error ({exc.kind}): {path}:{exc.span.line}:{exc.span.column}: {exc.message}",
@@ -61,6 +62,17 @@ def _print_diagnostics(path: str, diags: list[Diagnostic]) -> None:
         click.echo(f"{d.rule} {path}:{line}:{col} {d.message()}", err=True)
 
 
+def _read_valid_spec(path: str) -> ProtocolSpec:
+    """Read a spec that must pass ``validate``; print its diagnostics and
+    exit 1 when it does not."""
+    spec = _read_spec(path)
+    diags = validate(spec)
+    if diags:
+        _print_diagnostics(path, diags)
+        sys.exit(int(ExitStatus.FINDINGS))
+    return spec
+
+
 @click.group()
 def main() -> None:
     """Parse, validate, simulate and monitor probabilistic typestates."""
@@ -70,8 +82,7 @@ def main() -> None:
 @click.argument("spec_path", type=click.Path())
 def validate_cmd(spec_path: str) -> None:
     """Check a .tsp spec against all well-formedness and transition rules."""
-    spec, _ = _read_spec(spec_path)
-    diags = validate(spec)
+    diags = validate(_read_spec(spec_path))
     _print_diagnostics(spec_path, diags)
     sys.exit(int(ExitStatus.FINDINGS if diags else ExitStatus.OK))
 
@@ -81,11 +92,7 @@ def validate_cmd(spec_path: str) -> None:
 @click.option("--dot", "dot_path", type=click.Path(), default=None, help="Write DOT here instead of stdout.")
 def graph(spec_path: str, dot_path: Optional[str]) -> None:
     """Export a validated spec's transition graph as Graphviz DOT."""
-    spec, _ = _read_spec(spec_path)
-    diags = validate(spec)
-    if diags:
-        _print_diagnostics(spec_path, diags)
-        sys.exit(int(ExitStatus.FINDINGS))
+    spec = _read_valid_spec(spec_path)
     dot = export_dot(spec, build_trs(spec))
     if dot_path is None:
         click.echo(dot, nl=False)
@@ -172,11 +179,7 @@ def monitor_cmd(
     log_path: Optional[str],
 ) -> None:
     """Replay a trace against a spec and report ratio deviations."""
-    spec, _ = _read_spec(spec_path)
-    diags = validate(spec)
-    if diags:
-        _print_diagnostics(spec_path, diags)
-        sys.exit(int(ExitStatus.FINDINGS))
+    spec = _read_valid_spec(spec_path)
     try:
         conf = monitor_mod.MonitorConfig(error_bound=error_bound, warmup=warmup)
     except ValueError as exc:
@@ -188,7 +191,12 @@ def monitor_cmd(
     except (ValueError, KeyError) as exc:
         # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
         _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
-    result = monitor_mod.run_trace(spec, conf, events)
+    try:
+        result = monitor_mod.run_trace(spec, conf, events)
+    except EvalError as exc:
+        # Only the initial variable values can fail here: a step that fails
+        # to evaluate is logged as illegal.
+        _fail(ExitStatus.USAGE, f"{spec_path}: initial values: {exc}")
     if log_path is None:
         monitor_mod.write_log(sys.stdout, result.log)
     else:

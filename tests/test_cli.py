@@ -252,6 +252,27 @@ class TestMonitor:
         verdicts = [json.loads(line)["verdict"] for line in result.stdout.splitlines()]
         assert verdicts == ["warmup", "illegal", "illegal"]
 
+    @pytest.mark.parametrize(
+        "decls",
+        [
+            "var x = 99999999999999999999\n",
+            "const a = 9223372036854775807\nvar x = a + 1\n",
+        ],
+        ids=["literal", "const-plus-one"],
+    )
+    def test_initial_value_overflow_is_a_usage_error(self, runner, tmp_path, decls):
+        spec = tmp_path / "init.tsp"
+        spec.write_text(decls + "state S0 = !{ unit tick() : S0 }\n")
+        trace = tmp_path / "empty.jsonl"
+        trace.write_text("")
+        assert invoke(runner, ["validate", str(spec)]).exit_code == 0
+        result = invoke(runner, ["monitor", str(spec), "--trace", str(trace)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "arithmetic overflow" in lines[0]
+
     def test_log_to_stdout_summary_to_stderr(self, runner, tmp_path):
         self._simulate(runner, tmp_path)
         result = invoke(
