@@ -337,7 +337,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     current = 1  # the leader's round
     votes: dict[str, int] = {}
     finished = False
-    pstate = {name: {"max_round": 0, "closed": 0, "bits": {}} for name in peer_names}
+    pstate = {name: {"max_round": 0, "closed": 0, "vote": 0} for name in peer_names}
 
     def leader_vreq() -> None:
         outcome = leader.execute("vreq")
@@ -377,12 +377,12 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         st = pstate[name]
         if rnd <= st["closed"] or rnd < st["max_round"]:
             return  # a closed or superseded round
-        st["max_round"] = rnd
         peers[name].execute("vreq")
-        if rnd not in st["bits"]:
-            st["bits"][rnd] = vote_rngs[name].bit()
+        if rnd > st["max_round"]:  # one vote per round, repeated on a retry
+            st["max_round"] = rnd
+            st["vote"] = vote_rngs[name].bit()
         peers[name].execute("vack")
-        network.send(leader_vack, name, rnd, st["bits"][rnd], drop=cfg.peer_to_leader_drop)
+        network.send(leader_vack, name, rnd, st["vote"], drop=cfg.peer_to_leader_drop)
 
     def peer_vwb(name: str, rnd: int, bit: int) -> None:
         st = pstate[name]
@@ -390,7 +390,6 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             return  # duplicate write-back
         peers[name].execute("vwb")
         st["closed"] = rnd
-        st["max_round"] = max(st["max_round"], rnd)
 
     leader_vreq()
     return _finish("bitvote", cfg, loop, tick_budget, (leader, *peers.values()))
