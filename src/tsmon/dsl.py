@@ -32,13 +32,18 @@ their :class:`~tsmon.model.StructureError` at the offending token.  So that
 its own recursion stays within the interpreter's stack, an expression may
 nest at most :data:`~tsmon.model.MAX_EXPR_DEPTH` levels, counting each
 parenthesis and each operator on the path from its root to a leaf.
+
+A token's position stays a character offset until a span is needed: only
+the spans the model keeps (state names and branches) and the span of a
+:class:`ParseError` are worked out, by bisecting the offsets at which lines
+begin.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_right
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .model import (
     ActionSignature,
@@ -81,13 +86,16 @@ _KEYWORDS = {
     "boolean",
 }
 
+# Binary operators by precedence, loosest first; all associate to the left.
+_PREC = {"+": 1, "-": 1, "*": 2}
+_TIGHTEST = max(_PREC.values())
+
 # One alternative per token class, tried in order.  Multi-character operators
 # come first so the longest one wins; explicit ASCII classes keep non-ASCII
 # letters and digits out of identifiers and numbers.  ``1.`` is an int followed
 # by an unexpected ``.``.  Any other character matches ``error``.
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)"
-    r"|(?P<space>[ \t\r]+)"
+    r"(?P<space>[ \t\r\n]+)"
     r"|(?P<comment>//[^\n]*)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<float>[0-9]+\.[0-9]+)"
@@ -110,40 +118,54 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str  # "ident", "int", "float", "eof", or a punctuation literal
     text: str
-    span: SourceSpan
+    offset: int  # of the first character in the source text
+
+
+def _line_starts(text: str) -> list[int]:
+    return [0] + [m.end() for m in re.finditer("\n", text)]
+
+
+def _span(line_starts: list[int], offset: int, length: int) -> SourceSpan:
+    """The ``length`` characters at ``offset`` of a text whose lines begin
+    at ``line_starts``."""
+    line = bisect_right(line_starts, offset)
+    return SourceSpan(line, offset - line_starts[line - 1] + 1, length)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
+    end = len(text)
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            col = 1
+        if kind == "space":
+            continue
+        if kind == "comment":
+            # A trailing comment does not move the end-of-input offset.
+            if m.end() == len(text):
+                end = m.start()
         elif kind == "error":
-            raise ParseError(
-                "syntax", f"unexpected character {m.group()!r}", SourceSpan(line, col, 1)
-            )
-        elif kind != "comment":  # a comment does not advance the column
+            span = _span(_line_starts(text), m.start(), 1)
+            raise ParseError("syntax", f"unexpected character {m.group()!r}", span)
+        else:
             word = m.group()
-            if kind != "space":
-                # Punctuation and a bare ``_`` are typed by their own text.
-                if kind == "punct" or word == "_":
-                    kind = word
-                tokens.append(_Token(kind, word, SourceSpan(line, col, len(word))))
-            col += len(word)
-    tokens.append(_Token("eof", "", SourceSpan(line, col, 0)))
+            # Punctuation and a bare ``_`` are typed by their own text.
+            if kind == "punct" or word == "_":
+                kind = word
+            tokens.append(_Token(kind, word, m.start()))
+    tokens.append(_Token("eof", "", end))
     return tokens
+
+
+_T = TypeVar("_T")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
+        self.line_starts = _line_starts(text)
         self.pos = 0
         self.consts: dict[str, int] = {}
         self.vars: dict[str, Expr] = {}
@@ -155,7 +177,7 @@ class _Parser:
         self.decl = ""  # the keyword of the declaration being parsed
         # Where each name occurs, keyed by the (role, scope, name) of the
         # StructureError the model would report it with.
-        self.uses: dict[tuple[str, str, str], list[SourceSpan]] = {}
+        self.uses: dict[tuple[str, str, str], list[_Token]] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -167,34 +189,51 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at(self, ttype: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.type == ttype and (text is None or tok.text == text)
+    def at(self, ttype: str) -> bool:
+        return self.tokens[self.pos].type == ttype
 
-    def expect(self, ttype: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.type != ttype:
-            raise ParseError("syntax", f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+    def span(self, tok: _Token) -> SourceSpan:
+        return _span(self.line_starts, tok.offset, len(tok.text))
+
+    def syntax(self, what: str, tok: _Token) -> ParseError:
+        return ParseError("syntax", f"expected {what}, found {tok.text or 'end of input'!r}", self.span(tok))
+
+    def expect(self, ttype: str, what: Optional[str] = None) -> _Token:
+        """The next token, which must be of ``ttype``; ``what`` names it in
+        the error, by default the quoted ``ttype``."""
+        if not self.at(ttype):
+            raise self.syntax(what or repr(ttype), self.peek())
         return self.advance()
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_ident(self, what: str, keywords: tuple[str, ...] = ()) -> _Token:
+        """The next token, which must be an identifier: a name, or one of
+        ``keywords``."""
         tok = self.peek()
-        if tok.type != "ident" or tok.text in _KEYWORDS:
-            raise ParseError("syntax", f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok.type != "ident" or (tok.text in _KEYWORDS and tok.text not in keywords):
+            raise self.syntax(what, tok)
         return self.advance()
+
+    def parse_list(self, item: Callable[[], _T], sep: str = ",", close: Optional[str] = None) -> list[_T]:
+        """``item (sep item)*``, or no item at all when ``close`` is next."""
+        if close is not None and self.at(close):
+            return []
+        items = [item()]
+        while self.at(sep):
+            self.advance()
+            items.append(item())
+        return items
 
     # -- locating model errors -----------------------------------------------
 
     def note(self, role: str, tok: _Token, scope: str = "") -> None:
-        self.uses.setdefault((role, scope, tok.text), []).append(tok.span)
+        self.uses.setdefault((role, scope, tok.text), []).append(tok)
 
-    @staticmethod
-    def located(err: StructureError, spans: list[SourceSpan]) -> ParseError:
-        """``err`` at its token.  ``spans`` are the occurrences of the
+    def located(self, err: StructureError, toks: list[_Token]) -> ParseError:
+        """``err`` at its token.  ``toks`` are the occurrences of the
         offending name, a repeat's in the order the model reads them: a bad
         reference is reported at its first use, a repeat at its second
         occurrence."""
-        return ParseError(err.kind, str(err), spans[err.kind == "duplicate"])
+        return ParseError(err.kind, str(err), self.span(toks[err.kind == "duplicate"]))
 
     # -- declarations ------------------------------------------------------
 
@@ -210,11 +249,11 @@ class _Parser:
         while not self.at("eof"):
             tok = self.peek()
             if tok.type != "ident" or tok.text not in parsers:
-                raise ParseError("syntax", f"expected a declaration, found {tok.text!r}", tok.span)
+                raise self.syntax("a declaration", tok)
             self.decl = self.advance().text
             parsers[self.decl]()
         if not self.states:
-            raise ParseError("syntax", "no states declared", self.peek().span)
+            raise ParseError("syntax", "no states declared", self.span(self.peek()))
         try:
             internal = InternalStateDecl(
                 consts=self.consts,
@@ -232,56 +271,45 @@ class _Parser:
         # A dict holds one declaration per name, so the parser checks this
         # rule itself; a const and a var of one name are the model's to reject.
         if name.text in table:
-            raise ParseError("duplicate", f"{kind} {name.text!r} is already declared", name.span)
+            raise ParseError("duplicate", f"{kind} {name.text!r} is already declared", self.span(name))
 
     def parse_const(self) -> None:
         name = self.expect_ident("constant name")
         self.declare("const", name, self.consts)
         self.note("declaration", name)
-        self.expect("=", "'='")
-        negate = False
-        if self.at("-"):
-            self.advance()
-            negate = True
-        tok = self.expect("int", "integer literal")
-        self.consts[name.text] = -int(tok.text) if negate else int(tok.text)
+        self.expect("=")
+        self.consts[name.text] = self.parse_int()
 
     def parse_var(self) -> None:
         name = self.expect_ident("variable name")
         self.declare("var", name, self.vars)
         self.note("declaration", name)
-        self.expect("=", "'='")
+        self.expect("=")
         self.vars[name.text] = self.parse_expr()[0]
 
     def parse_assign(self) -> None:
         key = self.expect_ident("assignment key")
         self.declare("assign", key, self.assigns)
-        self.expect(":", "':'")
+        self.expect(":")
         target = self.expect_ident("target variable")
         self.note("variable", target)
-        self.expect(":=", "':='")
+        self.expect(":=")
         expr = self.parse_expr()[0]
         self.assigns[key.text] = Assignment(target=target.text, expr=expr)
 
     def parse_pred(self) -> None:
         key = self.expect_ident("predicate key")
         self.declare("pred", key, self.preds)
-        self.expect(":", "':'")
-        clauses = [self.parse_comparison()]
-        while self.at("&&"):
-            self.advance()
-            clauses.append(self.parse_comparison())
+        self.expect(":")
+        clauses = self.parse_list(self.parse_comparison, sep="&&")
         self.preds[key.text] = Predicate(clauses=tuple(clauses))
 
     def parse_enum(self) -> None:
         name = self.expect_ident("enum name")
         self.declare("enum", name, self.enums)
-        self.expect("{", "'{'")
-        labels = [self.expect_ident("enum label")]
-        while self.at(","):
-            self.advance()
-            labels.append(self.expect_ident("enum label"))
-        self.expect("}", "'}'")
+        self.expect("{")
+        labels = self.parse_list(lambda: self.expect_ident("enum label"))
+        self.expect("}")
         for tok in labels:
             self.note("label", tok, scope=name.text)
         self.enums[name.text] = tuple(t.text for t in labels)
@@ -291,15 +319,19 @@ class _Parser:
     def parse_comparison(self) -> Comparison:
         left = self.parse_expr()[0]
         tok = self.peek()
-        if tok.type in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.advance().type
-        elif tok.type == "=":
-            self.advance()
-            op = "=="
-        else:
-            raise ParseError("syntax", f"expected a comparison operator, found {tok.text!r}", tok.span)
+        if tok.type not in ("==", "!=", "<", "<=", ">", ">=", "="):
+            raise self.syntax("a comparison operator", tok)
+        self.advance()
         right = self.parse_expr()[0]
-        return Comparison(op=op, left=left, right=right)
+        return Comparison(op="==" if tok.type == "=" else tok.type, left=left, right=right)
+
+    def parse_int(self) -> int:
+        """An integer literal, optionally negated."""
+        negate = self.at("-")
+        if negate:
+            self.advance()
+        value = int(self.expect("int", "integer literal").text)
+        return -value if negate else value
 
     # Each expression parser returns the expression with its depth: the
     # ``nest`` enclosing parentheses plus the most operators and parentheses
@@ -308,131 +340,100 @@ class _Parser:
     def check_depth(self, depth: int, tok: _Token) -> int:
         if depth > MAX_EXPR_DEPTH:
             raise ParseError(
-                "range", f"expression nested deeper than {MAX_EXPR_DEPTH} levels", tok.span
+                "range", f"expression nested deeper than {MAX_EXPR_DEPTH} levels", self.span(tok)
             )
         return depth
 
-    def parse_expr(self, nest: int = 0) -> tuple[Expr, int]:
-        left, depth = self.parse_term(nest)
-        while self.peek().type in ("+", "-"):
+    def parse_expr(self, nest: int = 0, prec: int = 1) -> tuple[Expr, int]:
+        """An expression whose operators all bind at least as tightly as ``prec``."""
+        if prec > _TIGHTEST:
+            return self.parse_factor(nest)
+        left, depth = self.parse_expr(nest, prec + 1)
+        while _PREC.get(self.peek().type) == prec:
             op = self.advance()
-            right, right_depth = self.parse_term(nest)
+            right, right_depth = self.parse_expr(nest, prec + 1)
             left = BinOp(op=op.type, left=left, right=right)
-            depth = self.check_depth(1 + max(depth, right_depth), op)
-        return left, depth
-
-    def parse_term(self, nest: int) -> tuple[Expr, int]:
-        left, depth = self.parse_factor(nest)
-        while self.at("*"):
-            op = self.advance()
-            right, right_depth = self.parse_factor(nest)
-            left = BinOp(op="*", left=left, right=right)
             depth = self.check_depth(1 + max(depth, right_depth), op)
         return left, depth
 
     def parse_factor(self, nest: int) -> tuple[Expr, int]:
         tok = self.peek()
-        if tok.type == "int":
-            self.advance()
-            return IntLit(int(tok.text)), nest
-        if tok.type == "-":
-            self.advance()
-            lit = self.expect("int", "integer literal")
-            return IntLit(-int(lit.text)), nest
+        if tok.type in ("int", "-"):
+            return IntLit(self.parse_int()), nest
         if tok.type == "(":
             self.advance()
             inner = self.parse_expr(self.check_depth(nest + 1, tok))
-            self.expect(")", "')'")
+            self.expect(")")
             return inner
         if tok.type == "ident" and tok.text not in _KEYWORDS:
             self.advance()
             # An initializer may only use constants; other expressions also variables.
             self.note("constant" if self.decl == "var" else "name", tok)
             return Name(tok.text), nest
-        raise ParseError("syntax", f"expected an expression, found {tok.text or 'end of input'!r}", tok.span)
+        raise self.syntax("an expression", tok)
 
     # -- states --------------------------------------------------------------
 
     def parse_state(self) -> None:
         name = self.expect_ident("state name")
         self.declare("state", name, self.states)
-        self.expect("=", "'='")
-        if self.at("ident", "end"):
+        self.expect("=")
+        if self.peek().text == "end":
             self.advance()
             body = StateBody()
         else:
-            first_kind, first = self.parse_session()
-            in_branches = first if first_kind == "in" else ()
-            out_branches = first if first_kind == "out" else ()
+            first, branches = self.parse_session()
+            sessions = {first.type: branches}
             if self.at("+"):
                 self.advance()
-                second_kind, second = self.parse_session()
-                if second_kind == first_kind:
+                second, branches = self.parse_session()
+                if second.type == first.type:
                     raise ParseError(
                         "syntax",
                         "a mixed session combines one input and one output session",
-                        self.peek().span,
+                        self.span(self.peek()),
                     )
-                if second_kind == "in":
-                    in_branches = second
-                else:
-                    out_branches = second
+                sessions[second.type] = branches
+            in_branches, out_branches = sessions.get("?", ()), sessions.get("!", ())
             try:
                 body = StateBody(in_branches=in_branches, out_branches=out_branches)
-            except StructureError as err:
+            except StructureError as err:  # a repeated action, at its second branch
                 spans = [b.span for b in in_branches + out_branches if b.action.name == err.name]
-                raise self.located(err, spans) from None
+                raise ParseError(err.kind, str(err), spans[1]) from None
         self.states[name.text] = body
-        self.state_spans[name.text] = name.span
+        self.state_spans[name.text] = self.span(name)
 
-    def parse_session(self) -> tuple[str, tuple[Branch, ...]]:
-        tok = self.peek()
-        if tok.type == "!":
-            kind = "out"
-        elif tok.type == "?":
-            kind = "in"
-        else:
-            raise ParseError(
-                "syntax", f"expected '!{{' or '?{{', found {tok.text or 'end of input'!r}", tok.span
-            )
+    def parse_session(self) -> tuple[_Token, tuple[Branch, ...]]:
+        """The session's ``!`` or ``?`` and its branches."""
+        marker = self.peek()
+        if marker.type not in ("!", "?"):
+            raise self.syntax("'!{' or '?{'", marker)
         self.advance()
-        self.expect("{", "'{'")
+        self.expect("{")
         if self.at("}"):
             raise ParseError(
-                "syntax", "empty session; write 'end' for a terminal state", self.peek().span
+                "syntax", "empty session; write 'end' for a terminal state", self.span(self.peek())
             )
-        branches = [self.parse_branch()]
-        while self.at(","):
-            self.advance()
-            branches.append(self.parse_branch())
-        self.expect("}", "'}'")
-        return kind, tuple(branches)
+        branches = self.parse_list(self.parse_branch)
+        self.expect("}")
+        return marker, tuple(branches)
 
     def parse_type(self) -> TypeRef:
-        tok = self.peek()
-        if tok.type != "ident":
-            raise ParseError("syntax", f"expected a type, found {tok.text or 'end of input'!r}", tok.span)
-        self.advance()
-        if tok.text == "unit":
-            return TypeRef("unit")
-        if tok.text == "boolean":
-            return TypeRef("boolean")
+        tok = self.expect_ident("a type", keywords=("unit", "boolean"))
         if tok.text in _KEYWORDS:
-            raise ParseError("syntax", f"expected a type, found {tok.text!r}", tok.span)
+            return TypeRef(tok.text)
         self.note("enum", tok)
         return TypeRef("enum", tok.text)
 
     def parse_branch(self) -> Branch:
         rtype = self.parse_type()
         name = self.expect_ident("action name")
-        self.expect("(", "'('")
-        params: list[str] = []
-        if not self.at(")"):
-            params.append(self.parse_param())
-            while self.at(","):
-                self.advance()
-                params.append(self.parse_param())
-        self.expect(")", "')'")
+        self.expect("(")
+        params = self.parse_list(
+            lambda: self.expect_ident("a parameter type", keywords=("unit", "boolean")).text,
+            close=")",
+        )
+        self.expect(")")
         ratio: Optional[float] = None
         ratio_tok = self.peek()
         pre: tuple[str, ...] = ()
@@ -441,12 +442,12 @@ class _Parser:
             self.advance()
             ratio_tok = self.peek()
             ratio = self.parse_ratio()
-            self.expect(";", "';'")
+            self.expect(";")
             pre = self.parse_key_list("assign")
-            self.expect(";", "';'")
+            self.expect(";")
             preds = self.parse_key_list("pred")
-            self.expect("]", "']'")
-        self.expect(":", "':'")
+            self.expect("]")
+        self.expect(":")
         dest = self.parse_dest(rtype)
         post: tuple[str, ...] = ()
         if self.at("["):
@@ -459,78 +460,47 @@ class _Parser:
                 preds=preds,
                 dest=dest,
                 post_assigns=post,
-                span=name.span,
+                span=self.span(name),
             )
         except StructureError as err:  # a ratio outside [0, 1]
-            raise self.located(err, [ratio_tok.span]) from None
-
-    def parse_param(self) -> str:
-        tok = self.peek()
-        if tok.type != "ident":
-            raise ParseError("syntax", f"expected a parameter type, found {tok.text!r}", tok.span)
-        self.advance()
-        if tok.text not in ("unit", "boolean") and tok.text in _KEYWORDS:
-            raise ParseError("syntax", f"expected a parameter type, found {tok.text!r}", tok.span)
-        return tok.text
+            raise self.located(err, [ratio_tok]) from None
 
     def parse_ratio(self) -> Optional[float]:
         tok = self.peek()
-        if tok.type == "_":
-            self.advance()
-            return None
-        if tok.type in ("int", "float"):
-            self.advance()
-            return float(tok.text)
-        raise ParseError("syntax", f"expected a ratio or '_', found {tok.text!r}", tok.span)
+        if tok.type not in ("_", "int", "float"):
+            raise self.syntax("a ratio or '_'", tok)
+        self.advance()
+        return None if tok.type == "_" else float(tok.text)
 
     def parse_key_list(self, kind: str) -> tuple[str, ...]:
-        self.expect("[", "'['")
-        keys: list[str] = []
-        if not self.at("]"):
-            while True:
-                tok = self.expect_ident(f"{kind} key")
-                self.note(kind, tok)
-                keys.append(tok.text)
-                if not self.at(","):
-                    break
-                self.advance()
-        self.expect("]", "']'")
-        return tuple(keys)
+        self.expect("[")
+        keys = self.parse_list(lambda: self.expect_ident(f"{kind} key"), close="]")
+        self.expect("]")
+        for tok in keys:
+            self.note(kind, tok)
+        return tuple(tok.text for tok in keys)
 
     def parse_dest(self, rtype: TypeRef) -> Destination:
         if self.at("<"):
             self.advance()
-            cases = [self.parse_case()]
-            while self.at(","):
-                self.advance()
-                cases.append(self.parse_case())
-            self.expect(">", "'>'")
+            cases = self.parse_list(self.parse_case)
+            self.expect(">")
             try:
                 return DecisionDest(cases=tuple((o, s) for o, s, _ in cases))
             except StructureError as err:
                 raise self.located(
-                    err, [span for o, _, span in cases if outcome_text(o) == err.name]
+                    err, [tok for o, _, tok in cases if outcome_text(o) == err.name]
                 ) from None
         tok = self.expect_ident("a destination state or '<'")
         return PlainDest(state=tok.text)
 
-    def parse_case(self) -> tuple[Value, str, SourceSpan]:
-        tok = self.peek()
-        outcome: Value
-        if tok.type == "ident" and tok.text == "true":
-            outcome = True
-        elif tok.type == "ident" and tok.text == "false":
-            outcome = False
-        elif tok.type == "ident" and tok.text not in _KEYWORDS:
-            outcome = tok.text
-        else:
-            raise ParseError(
-                "syntax", f"expected a decision outcome, found {tok.text or 'end of input'!r}", tok.span
-            )
-        self.advance()
-        self.expect(":", "':'")
+    def parse_case(self) -> tuple[Value, str, _Token]:
+        """An outcome, its state and the outcome's token."""
+        tok = self.expect_ident("a decision outcome", keywords=("true", "false"))
+        outcome: Value = tok.text == "true" if tok.text in _KEYWORDS else tok.text
+        self.expect(":")
         state = self.expect_ident("a destination state")
-        return outcome, state.text, tok.span
+        return outcome, state.text, tok
 
 
 def parse_protocol(text: str) -> ProtocolSpec:
@@ -546,8 +516,6 @@ def parse_protocol(text: str) -> ProtocolSpec:
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2}
 
 
 def _expr_text(expr: Expr, ctx: int = 0) -> str:

@@ -173,12 +173,10 @@ def random_stateful_spec(seed: int) -> ProtocolSpec:
 def _pieces(text: str) -> tuple[list[tuple[str, str]], str]:
     """(gap, token) pairs that join back into ``text``, and the text after
     the last token."""
-    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
     pieces, end = [], 0
     for tok in _lex(text)[:-1]:
-        start = line_starts[tok.span.line - 1] + tok.span.column - 1
-        pieces.append((text[end:start], tok.text))
-        end = start + len(tok.text)
+        pieces.append((text[end : tok.offset], tok.text))
+        end = tok.offset + len(tok.text)
     return pieces, text[end:]
 
 

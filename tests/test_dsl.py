@@ -160,6 +160,20 @@ class TestErrors:
         assert err.kind == "reference"
         assert _token(text, err.span) == "ghost"
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("var x = 0\npred P: x", "a comparison operator"),
+            ("state S = !{ unit m(", "a parameter type"),
+            ("state S = !{ unit m() [", "a ratio or '_'"),
+        ],
+    )
+    def test_end_of_input_is_named(self, text, what):
+        err = _error(text)
+        assert err.message == f"expected {what}, found 'end of input'"
+        last_line = text.split("\n")[-1]
+        assert (err.kind, err.span) == ("syntax", SourceSpan(text.count("\n") + 1, len(last_line) + 1, 0))
+
     def test_two_output_sessions_rejected(self):
         err = _error("state S = !{ unit a() : S } + !{ unit b() : S }\n")
         assert err.kind == "syntax"
@@ -256,16 +270,17 @@ class TestLexer:
         assert tokens[-1].type == "eof"
         assert [t.text for t in tokens[:-1]] == words
         for tok in tokens[:-1]:
-            start = _offset(text, tok.span)
-            assert text[start : start + tok.span.length] == tok.text
+            assert text[tok.offset : tok.offset + len(tok.text)] == tok.text
 
     def test_int_then_dot_is_an_error_at_the_dot(self):
         with pytest.raises(ParseError) as info:
             _lex("x 1.")
         assert info.value.span == SourceSpan(1, 4, 1)
 
-    def test_comment_does_not_advance_the_column(self):
-        assert _lex("ab // c")[-1].span == SourceSpan(1, 4, 0)
+    def test_trailing_comment_does_not_move_the_end_of_input(self):
+        assert _lex("ab // c")[-1].offset == 3
+        assert _lex("ab // c\n")[-1].offset == 8
+        assert _error("state S = ?{ unit m() // c").span == SourceSpan(1, 23, 0)
 
 
 class TestRoundTrip:
