@@ -391,7 +391,7 @@ class _Parser:
                     raise ParseError(
                         "syntax",
                         "a mixed session combines one input and one output session",
-                        self.span(self.peek()),
+                        self.span(second),
                     )
                 sessions[second.type] = branches
             in_branches, out_branches = sessions.get("?", ()), sessions.get("!", ())

@@ -178,6 +178,13 @@ class TestErrors:
         err = _error("state S = !{ unit a() : S } + !{ unit b() : S }\n")
         assert err.kind == "syntax"
 
+    def test_mixed_session_error_is_at_the_second_session(self):
+        text = "state S = !{ unit a() : S } + !{ unit b() : S }\nstate T = end"
+        err = _error(text)
+        assert err.message.startswith("a mixed session combines")
+        assert err.span == SourceSpan(1, 31, 1)
+        assert _offset(text, err.span) == text.rindex("!")
+
     def test_empty_session_rejected(self):
         err = _error("state S = !{}\n")
         assert err.kind == "syntax"

@@ -15,7 +15,7 @@ from tsmon.dsl import ParseError, parse_protocol, serialize_protocol
 
 from specgen import _BUNDLED_PIECES, _WORDS, random_wellformed_spec
 
-PINNED_DIGEST = "9dfb36eb8f3bca364e2f93889a0c76b8a6d405d1f6ade75e59b0308b1cb149d2"
+PINNED_DIGEST = "6615bbe91f3939bbf27502479c441abeb2ecdfca600c87ed91fa2068f19608dc"
 
 
 def _join(pieces):
