@@ -293,7 +293,7 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
     # A line is a head, ``, "seq": `` and a tail.  Once a line has parsed as
     # an event, a later line with the same head differs from it only in seq.
     heads: dict[str, tuple] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):  # not splitlines(): U+2028 and the like may sit in a string
         head, _, tail = line.rpartition(', "seq": ')
         fields = heads.get(head)
         if fields is not None and _SEQ_TAIL.fullmatch(tail):

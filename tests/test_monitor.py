@@ -373,7 +373,7 @@ def _log(draw):
 def _reference_read(text):
     """``read_trace`` as one ``json.loads`` per line, without the line cache."""
     events = [
-        trace_event_from_json(json.loads(line)) for line in text.splitlines() if line.strip()
+        trace_event_from_json(json.loads(line)) for line in text.split("\n") if line.strip()
     ]
     participants = {ev.participant for ev in events}
     if len(participants) > 1:
@@ -471,6 +471,14 @@ class TestCodecs:
         head = '{"participant": "r", "action": "msg", "dir": "in", "value": null'
         text = f'{head}, "seq": 0}}\n{head}, "seq": {tail}\n'
         assert _outcome(read_trace, io.StringIO(text)) == _outcome(_reference_read, text)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_only_a_newline_ends_a_line(self, separator):
+        head = '{"participant": "r", "action": "m%sg", "dir": "in", "value": null' % separator
+        text = f'{head}, "seq": 0}}\n{head}, "seq": 1}}\n'
+        assert [(ev.action, ev.seq) for ev in read_trace(io.StringIO(text))] == [
+            (f"m{separator}g", 0), (f"m{separator}g", 1)
+        ]
 
     def test_known_head_takes_each_seq(self):
         text = "".join(
