@@ -1,12 +1,16 @@
 """CLI surface: exit codes, output streams, flag handling."""
 
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tsmon.cli import main
+from tsmon.monitor import write_trace
+from tsmon.simnet import AbpConfig, NetConfig, run_abp
 from tsmon.specs import spec_path
 
 from specgen import mutated_bundled_spec
@@ -167,6 +171,37 @@ class TestSimulate:
             )
         for name in ("sender.jsonl", "receiver.jsonl", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _receiver_trace() -> bytes:
+    run = run_abp(AbpConfig(net=NetConfig(seed=3, drop_prob=0.2, dup_prob=0.1), rounds=6))
+    out = io.StringIO()
+    write_trace(out, run.traces["receiver"])
+    return out.getvalue().encode()
+
+
+_RECEIVER_TRACE = _receiver_trace()
+# Bytes that matter to JSON Lines, and any byte at all.
+_BYTES = st.sampled_from(b'{}[]",:-0129 \n\r\\etnu') | st.integers(0, 255)
+
+
+@st.composite
+def _mutated_trace(draw) -> bytes:
+    """The receiver trace with one to four byte edits."""
+    data = bytearray(_RECEIVER_TRACE)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+        if edit == "insert":
+            data.insert(i, draw(_BYTES))
+        elif edit == "truncate":
+            del data[i:]
+        elif i < len(data):
+            if edit == "delete":
+                del data[i]
+            else:
+                data[i] = draw(_BYTES)
+    return bytes(data)
 
 
 class TestMonitor:
@@ -331,6 +366,21 @@ class TestMonitor:
         )
         assert result.exit_code == 2
         assert "malformed trace" in result.stderr
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=_mutated_trace())
+    def test_mutated_trace_exits_without_traceback(self, runner, tmp_path, data):
+        trace = tmp_path / "mutated.jsonl"
+        trace.write_bytes(data)
+        result = invoke(
+            runner,
+            ["monitor", str(spec_path("receiver")), "--trace", str(trace),
+             "--log", str(tmp_path / "mutated.log")],
+        )
+        assert result.exit_code in (0, 1, 2, 3)
+        assert "Traceback" not in result.stdout + result.stderr
 
     def test_monitor_runs_are_byte_identical(self, runner, tmp_path):
         self._simulate(runner, tmp_path)
