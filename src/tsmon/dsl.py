@@ -85,6 +85,7 @@ _KEYWORDS = {
     "unit",
     "boolean",
 }
+_BUILTIN_TYPES = ("unit", "boolean")
 
 # Binary operators by precedence, loosest first; all associate to the left.
 _PREC = {"+": 1, "-": 1, "*": 2}
@@ -419,8 +420,8 @@ class _Parser:
         return marker, tuple(branches)
 
     def parse_type(self) -> TypeRef:
-        tok = self.expect_ident("a type", keywords=("unit", "boolean"))
-        if tok.text in _KEYWORDS:
+        tok = self.expect_ident("a type", keywords=_BUILTIN_TYPES)
+        if tok.text in _BUILTIN_TYPES:
             return TypeRef(tok.text)
         self.note("enum", tok)
         return TypeRef("enum", tok.text)
@@ -430,7 +431,7 @@ class _Parser:
         name = self.expect_ident("action name")
         self.expect("(")
         params = self.parse_list(
-            lambda: self.expect_ident("a parameter type", keywords=("unit", "boolean")).text,
+            lambda: self.expect_ident("a parameter type", keywords=_BUILTIN_TYPES).text,
             close=")",
         )
         self.expect(")")
@@ -448,7 +449,7 @@ class _Parser:
             preds = self.parse_key_list("pred")
             self.expect("]")
         self.expect(":")
-        dest = self.parse_dest(rtype)
+        dest = self.parse_dest()
         post: tuple[str, ...] = ()
         if self.at("["):
             post = self.parse_key_list("assign")
@@ -480,7 +481,7 @@ class _Parser:
             self.note(kind, tok)
         return tuple(tok.text for tok in keys)
 
-    def parse_dest(self, rtype: TypeRef) -> Destination:
+    def parse_dest(self) -> Destination:
         if self.at("<"):
             self.advance()
             cases = self.parse_list(self.parse_case)
@@ -497,7 +498,7 @@ class _Parser:
     def parse_case(self) -> tuple[Value, str, _Token]:
         """An outcome, its state and the outcome's token."""
         tok = self.expect_ident("a decision outcome", keywords=("true", "false"))
-        outcome: Value = tok.text == "true" if tok.text in _KEYWORDS else tok.text
+        outcome: Value = {"true": True, "false": False}.get(tok.text, tok.text)
         self.expect(":")
         state = self.expect_ident("a destination state")
         return outcome, state.text, tok
