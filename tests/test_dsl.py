@@ -167,6 +167,7 @@ class TestErrors:
             ("state S = !{ unit m(", "a parameter type"),
             ("state S = !{ unit m() [", "a ratio or '_'"),
         ],
+        ids=["comparison", "parameter", "ratio"],
     )
     def test_end_of_input_is_named(self, text, what):
         err = _error(text)
@@ -284,7 +285,7 @@ class TestLexer:
             _lex("x 1.")
         assert info.value.span == SourceSpan(1, 4, 1)
 
-    def test_trailing_comment_does_not_move_the_end_of_input(self):
+    def test_comment_does_not_advance_the_column(self):
         assert _lex("ab // c")[-1].offset == 3
         assert _lex("ab // c\n")[-1].offset == 8
         assert _error("state S = ?{ unit m() // c").span == SourceSpan(1, 23, 0)
