@@ -72,9 +72,8 @@ DIRECTION_OUT = "out"
 _VALUE_TYPES = get_args(Value)
 
 # The tail of a trace line after ``, "seq": ``: a JSON integer (of at most 100
-# digits; ``int()`` refuses 4300 by default), the closing brace and, in a
-# file with CRLF line ends, the carriage return.
-_SEQ_TAIL = re.compile(r"(-?(?:0|[1-9][0-9]{0,99}))\}\r?")
+# digits; ``int()`` refuses 4300 by default) and the closing brace.
+_SEQ_TAIL = re.compile(r"-?(?:0|[1-9][0-9]{0,99})\}")
 
 
 @dataclass(frozen=True)
@@ -296,16 +295,15 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
     heads: dict[str, tuple] = {}
     for line in text.split("\n"):  # not splitlines(): U+2028 and the like may sit in a string
         head, _, tail = line.rpartition(', "seq": ')
-        seq = _SEQ_TAIL.fullmatch(tail)
         fields = heads.get(head)
-        if fields is not None and seq:
-            events.append(TraceEvent(*fields, int(seq[1])))
+        if fields is not None and _SEQ_TAIL.fullmatch(tail):
+            events.append(TraceEvent(*fields, int(tail[:-1])))
         elif line.strip():
             try:
                 ev = trace_event_from_json(json.loads(line))
             except RecursionError:
                 raise ValueError("trace line nests too deeply") from None
-            if seq:
+            if _SEQ_TAIL.fullmatch(tail):
                 heads[head] = (ev.participant, ev.action, ev.direction, ev.value)
             participants.add(ev.participant)
             events.append(ev)
