@@ -6,6 +6,10 @@ branch span.  The inputs are the bundled specs, 200 serialized random
 specs, and every single-token replacement, deletion and truncation of the
 bundled specs.  A change to the parser that moves an error or a span, or
 changes what a spec parses to, changes the digest.
+
+The inputs are built with the lexer under test, so their count and their
+own digest are pinned too: a failure of the record digest alone means the
+parser moved, not the inputs.
 """
 
 import hashlib
@@ -16,6 +20,8 @@ from tsmon.dsl import ParseError, parse_protocol, serialize_protocol
 from specgen import _BUNDLED_PIECES, _WORDS, random_wellformed_spec
 
 PINNED_DIGEST = "6615bbe91f3939bbf27502479c441abeb2ecdfca600c87ed91fa2068f19608dc"
+PINNED_INPUTS = 28154
+PINNED_INPUT_DIGEST = "c5d184b6e4b6d5293a9c6ab9bd029e1720f291f2d5c27946aa618d2d2e55a8ca"
 
 
 def _join(pieces):
@@ -64,3 +70,9 @@ def digest(records):
 
 def test_parse_records_match_the_pinned_digest():
     assert digest(record(text) for text in pinned_inputs()) == PINNED_DIGEST
+
+
+def test_pinned_inputs_are_unchanged():
+    inputs = list(pinned_inputs())
+    assert len(inputs) == PINNED_INPUTS
+    assert digest(inputs) == PINNED_INPUT_DIGEST
