@@ -58,8 +58,9 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Operator levels allowed in one expression, so that the recursive walks over
-# expressions (evaluation, serialization) stay within the interpreter's stack.
+# Operator levels allowed in one expression.  Compiling an expression to
+# closures, calling those closures and serializing the expression each take
+# one stack frame per level; this keeps all three within the interpreter's stack.
 MAX_EXPR_DEPTH = 100
 
 # A transition value: None for actions with a plain destination, True/False

@@ -13,9 +13,11 @@ transitions.
 
 One loop, ``_resume``, consumes events: :func:`run_trace` runs it over a
 whole trace from the initial configuration and :func:`monitor_step` over a
-single event, so the fold and the trace run cannot drift apart.  It hands
-each event to :func:`tsmon.semantics.step` once and takes the branch's
-session side and ratio from the result.
+single event, so the fold and the trace run cannot drift apart.  It carries
+the state and the variables itself, compiles each (state, action) pair it
+meets once into a :class:`tsmon.semantics.Transitions` table, executes each
+event with :func:`tsmon.semantics.fire`, and takes the branch's session side
+and ratio from the compiled transition.
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
 per line gives.  A writer caches a format string made by ``json.dumps`` per
@@ -36,7 +38,9 @@ from typing import IO, Iterable, Mapping, Optional, Union, get_args
 
 from . import semantics
 from .model import ProtocolSpec, Value
-from .semantics import EvalError, IllegalActionError, TInfo, VarStore
+from .semantics import (
+    EvalError, IllegalActionError, Transitions, VarStore, fire, scope_of, store_of
+)
 
 __all__ = [
     "LogEntry",
@@ -156,25 +160,29 @@ def _resume(
     costs the same however long the trace is; ``cfg`` itself is not changed.
     """
     state, store = cfg.state, cfg.store
+    scope = start = scope_of(store)
+    table = Transitions(spec, store.vars)
     n = dict(cfg.n)
     p = dict(cfg.p)
     log = list(cfg.log)
     for ev in events:
+        action = ev.action
+        t = table[state, action]
         try:
-            outcome = semantics.step(spec, TInfo(state, store), ev.action, ev.value)
+            target, after, _ = fire(t, state, action, ev.value, scope)
         except (IllegalActionError, EvalError):
-            outcome = None
-        if outcome is None or ev.direction != (DIRECTION_IN if outcome.is_input else DIRECTION_OUT):
+            t = None
+        if t is None or ev.direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
             log.append(
-                LogEntry(state, ev.action, None, None, None, VERDICT_ILLEGAL, ev.seq)
+                LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, ev.seq)
             )
             continue
-        mu = outcome.branch.ratio
+        mu = t.branch.ratio
         if mu is not None:
             n_before = n.get(state, 0)
-            p_before = p.get((state, ev.action), 0)
+            p_before = p.get((state, action), 0)
             observed = (p_before + 1) / (n_before + 1)
-            bound = conf.bound_for(state, ev.action)
+            bound = conf.bound_for(state, action)
             low, high = mu - bound, mu + bound
             if n_before + 1 < conf.warmup:
                 verdict = VERDICT_WARMUP
@@ -184,10 +192,12 @@ def _resume(
                 verdict = VERDICT_DEVIATION_HIGH
             else:
                 verdict = VERDICT_OK
-            log.append(LogEntry(state, ev.action, mu, (low, high), observed, verdict, ev.seq))
+            log.append(LogEntry(state, action, mu, (low, high), observed, verdict, ev.seq))
             n[state] = n_before + 1
-            p[(state, ev.action)] = p_before + 1
-        state, store = outcome.next.state, outcome.next.store
+            p[(state, action)] = p_before + 1
+        state, scope = target, after
+    if scope is not start:
+        store = store_of(scope, store)
     return MTInfo(state, store, n, p, tuple(log))
 
 

@@ -6,21 +6,30 @@ predicates: if they do not all hold the configuration keeps its state (a
 non-triggering step), otherwise it moves to the destination selected by the
 returned value and applies the post-assignments.
 
-:func:`step` is the one place that resolves (state, action) to a branch: it
-looks the action up once and returns the branch with its session side, so
-the monitor reads the ratio and checks an event's direction (a wrong one is
-still illegal) and the simulator writes trace directions from that result.
+:func:`compile_transition` resolves one (state, action) pair to a
+:class:`Transition` once, with its assignments and predicates compiled to
+closures over a *scope*: one dict of the constants and variables by name.
+:func:`fire` executes a transition on a scope.  The monitor and the
+simulator look transitions up in a :class:`Transitions` table, which
+compiles each pair on first use, and carry the state and the scope
+themselves.  :func:`step`, :func:`eval_expr`, :func:`update` and
+:func:`eval_preds` compile what one call needs and run the same closures.
+
+Every literal, name read and operator result is checked against the int64
+range.  A literal is checked when compiled: one out of range compiles to a
+closure that raises the overflow when evaluated.  An unknown assignment or
+predicate key also raises only when it is reached.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Container, Mapping, NamedTuple, NoReturn, Optional
 
 from .model import (
     Assignment,
     Branch,
-    Comparison,
     Expr,
     IntLit,
     Name,
@@ -38,11 +47,17 @@ __all__ = [
     "INT64_MIN",
     "StepOutcome",
     "TInfo",
+    "Transition",
+    "Transitions",
     "VarStore",
+    "compile_transition",
     "eval_expr",
     "eval_preds",
+    "fire",
     "initial_config",
+    "scope_of",
     "step",
+    "store_of",
     "update",
 ]
 
@@ -69,13 +84,6 @@ class VarStore:
     vars: Mapping[str, int]
     consts: Mapping[str, int]
 
-    def value(self, name: str) -> int:
-        if name in self.vars:
-            return self.vars[name]
-        if name in self.consts:
-            return self.consts[name]
-        raise EvalError(f"unknown name {name!r}")
-
 
 @dataclass(frozen=True)
 class TInfo:
@@ -97,38 +105,110 @@ class StepOutcome:
     is_input: bool
 
 
-def _check_range(value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise EvalError(f"arithmetic overflow: {value} outside 64-bit range")
-    return value
+Scope = dict[str, int]
 
 
-def eval_expr(expr: Expr, store: VarStore) -> int:
-    if isinstance(expr, IntLit):
-        return _check_range(expr.value)
-    if isinstance(expr, Name):
-        return _check_range(store.value(expr.ident))
-    left = eval_expr(expr.left, store)
-    right = eval_expr(expr.right, store)
-    if expr.op == "+":
-        return _check_range(left + right)
-    if expr.op == "-":
-        return _check_range(left - right)
-    return _check_range(left * right)
+def scope_of(store: VarStore) -> Scope:
+    """The store's constants and variables in one dict; a name that is both
+    reads as the variable."""
+    return {**store.consts, **store.vars}
 
 
+def store_of(scope: Scope, store: VarStore) -> VarStore:
+    """``store`` with its variables' values taken from ``scope``."""
+    return VarStore({name: scope[name] for name in store.vars}, store.consts)
+
+
+def _overflow(value: int) -> EvalError:
+    return EvalError(f"arithmetic overflow: {value} outside 64-bit range")
+
+
+def _raising(make_error: Callable[..., EvalError], *args) -> Callable[[Scope], NoReturn]:
+    def fail(scope: Scope) -> NoReturn:
+        raise make_error(*args)
+
+    return fail
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
-def _eval_clause(clause: Comparison, store: VarStore) -> bool:
-    return _CMP[clause.op](eval_expr(clause.left, store), eval_expr(clause.right, store))
+def _compile_expr(expr: Expr) -> Callable[[Scope], int]:
+    if isinstance(expr, IntLit):
+        literal = expr.value
+        if INT64_MIN <= literal <= INT64_MAX:
+            return lambda scope: literal
+        return _raising(_overflow, literal)
+    if isinstance(expr, Name):
+        ident = expr.ident
+
+        def read(scope: Scope) -> int:
+            try:
+                value = scope[ident]
+            except KeyError:
+                raise EvalError(f"unknown name {ident!r}") from None
+            if INT64_MIN <= value <= INT64_MAX:
+                return value
+            raise _overflow(value)
+
+        return read
+    left, right, apply = _compile_expr(expr.left), _compile_expr(expr.right), _ARITH[expr.op]
+
+    def binop(scope: Scope) -> int:
+        value = apply(left(scope), right(scope))
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+        raise _overflow(value)
+
+    return binop
+
+
+def _compile_assign(
+    key: str, assigns: Mapping[str, Assignment], variables: Container[str]
+) -> Callable[[Scope], None]:
+    rule = assigns.get(key)
+    if rule is None:
+        return _raising(EvalError, f"unknown assignment key {key!r}")
+    value, target = _compile_expr(rule.expr), rule.target
+    if target not in variables:
+
+        def not_a_variable(scope: Scope) -> None:
+            value(scope)
+            raise EvalError(f"{target!r} is not a variable")
+
+        return not_a_variable
+
+    def assign(scope: Scope) -> None:
+        scope[target] = value(scope)
+
+    return assign
+
+
+def _compile_pred(key: str, preds: Mapping[str, Predicate]) -> Callable[[Scope], bool]:
+    pred = preds.get(key)
+    if pred is None:
+        return _raising(EvalError, f"unknown predicate key {key!r}")
+    clauses = [(_CMP[c.op], _compile_expr(c.left), _compile_expr(c.right)) for c in pred.clauses]
+
+    def holds(scope: Scope) -> bool:
+        for compare, left, right in clauses:
+            if not compare(left(scope), right(scope)):
+                return False
+        return True
+
+    return holds
+
+
+def eval_expr(expr: Expr, store: VarStore) -> int:
+    return _compile_expr(expr)(scope_of(store))
 
 
 def update(
@@ -137,40 +217,120 @@ def update(
     """Apply the named assignments left to right; () returns the store as is."""
     if not keys:
         return store
-    # One copy per call: ``updated`` reads the dict the loop writes, so each
-    # assignment sees the ones before it.
-    values = dict(store.vars)
-    updated = VarStore(vars=values, consts=store.consts)
+    scope = scope_of(store)
     for key in keys:
-        rule = assigns.get(key)
-        if rule is None:
-            raise EvalError(f"unknown assignment key {key!r}")
-        value = eval_expr(rule.expr, updated)
-        if rule.target not in values:
-            raise EvalError(f"{rule.target!r} is not a variable")
-        values[rule.target] = value
-    return updated
+        _compile_assign(key, assigns, store.vars)(scope)
+    return store_of(scope, store)
 
 
 def eval_preds(
     keys: tuple[str, ...], store: VarStore, preds: Mapping[str, Predicate]
 ) -> bool:
     """Conjunction of the named predicates; () evaluates to true."""
-    for key in keys:
-        pred = preds.get(key)
-        if pred is None:
-            raise EvalError(f"unknown predicate key {key!r}")
-        if not all(_eval_clause(c, store) for c in pred.clauses):
-            return False
-    return True
+    scope = scope_of(store)
+    return all(_compile_pred(key, preds)(scope) for key in keys)
 
 
 def initial_config(spec: ProtocolSpec) -> TInfo:
     """Start-state configuration with variable initializers evaluated once."""
     consts = dict(spec.internal.consts)
-    empty = VarStore(vars={}, consts=consts)
-    values = {name: eval_expr(init, empty) for name, init in spec.internal.vars.items()}
+    values = {name: _compile_expr(init)(consts) for name, init in spec.internal.vars.items()}
     return TInfo(state=spec.typestate.start, store=VarStore(vars=values, consts=consts))
+
+
+class Transition(NamedTuple):
+    """One (state, action) pair, compiled: the branch and its side, then the
+    plain destination ``target`` or, for a decision, ``outcomes`` keyed by
+    ``(type(value), value)`` so that ``1`` selects no boolean outcome.
+    ``effect`` applies the pre-assignments to a scope and returns whether the
+    predicates hold, after applying the post-assignments if they do; it is
+    ``None`` when the branch has no assignment and no predicate."""
+
+    branch: Branch
+    is_input: bool
+    target: Optional[str]
+    outcomes: Optional[dict[tuple[type, Value], str]]
+    effect: Optional[Callable[[Scope], bool]]
+
+
+def compile_transition(
+    spec: ProtocolSpec, state: str, action: str, variables: Container[str]
+) -> Optional[Transition]:
+    """The transition ``state`` offers for ``action``, or ``None`` (a state
+    that is not declared offers none); ``variables`` are the names its
+    assignments may write."""
+    body = spec.typestate.states.get(state)
+    found = body.find(action) if body is not None else None
+    if found is None:
+        return None
+    branch, is_input = found
+    internal = spec.internal
+    pre = [_compile_assign(key, internal.assigns, variables) for key in branch.pre_assigns]
+    preds = [_compile_pred(key, internal.preds) for key in branch.preds]
+    post = [_compile_assign(key, internal.assigns, variables) for key in branch.post_assigns]
+
+    def effect(scope: Scope) -> bool:
+        for assign in pre:
+            assign(scope)
+        for holds in preds:
+            if not holds(scope):
+                return False
+        for assign in post:
+            assign(scope)
+        return True
+
+    if not (pre or preds or post):
+        effect = None
+    if isinstance(branch.dest, PlainDest):
+        return Transition(branch, is_input, branch.dest.state, None, effect)
+    outcomes = {(type(o), o): s for o, s in branch.dest.cases}
+    return Transition(branch, is_input, None, outcomes, effect)
+
+
+class Transitions(dict):
+    """The transitions of one spec by (state, action), each compiled on its
+    first lookup; ``None`` marks a pair with no transition."""
+
+    def __init__(self, spec: ProtocolSpec, variables: Container[str]):
+        super().__init__()
+        self.spec, self.variables = spec, variables
+
+    def __missing__(self, key: tuple[str, str]) -> Optional[Transition]:
+        compiled = self[key] = compile_transition(self.spec, *key, self.variables)
+        return compiled
+
+
+def fire(
+    t: Optional[Transition], state: str, action: str, value: Value, scope: Scope
+) -> tuple[str, Scope, bool]:
+    """Execute ``t``, the transition of (``state``, ``action``), on ``scope``
+    with the returned ``value``: the next state and scope, and whether it
+    triggered.  ``scope`` is not changed; an effect runs on a copy.  Raises
+    :class:`IllegalActionError` when there is no transition for (action,
+    value) and :class:`EvalError` when an expression cannot be evaluated."""
+    if t is None:
+        raise IllegalActionError(f"state {state!r} offers no action {action!r}")
+    if t.outcomes is None:
+        if value is not None:
+            raise IllegalActionError(
+                f"action {action!r} in state {state!r} returns no value, got {value!r}"
+            )
+        target = t.target
+    else:
+        try:
+            target = t.outcomes.get((type(value), value))
+        except TypeError:  # an unhashable value matches no outcome
+            target = None
+        if target is None:
+            raise IllegalActionError(
+                f"action {action!r} in state {state!r} has no outcome {value!r}"
+            )
+    if t.effect is None:
+        return target, scope, True
+    scope = dict(scope)
+    if t.effect(scope):
+        return target, scope, True
+    return state, scope, False
 
 
 def step(spec: ProtocolSpec, cfg: TInfo, action: str, value: Value = None) -> StepOutcome:
@@ -182,27 +342,10 @@ def step(spec: ProtocolSpec, cfg: TInfo, action: str, value: Value = None) -> St
     (action, value) -- a protocol violation.  States that are not declared
     offer no action.
     """
-    body = spec.typestate.states.get(cfg.state)
-    found = body.find(action) if body is not None else None
-    if found is None:
-        raise IllegalActionError(f"state {cfg.state!r} offers no action {action!r}")
-    branch, is_input = found
-    if isinstance(branch.dest, PlainDest):
-        if value is not None:
-            raise IllegalActionError(
-                f"action {action!r} in state {cfg.state!r} returns no value, got {value!r}"
-            )
-        target = branch.dest.state
-    else:
-        chosen = branch.dest.target(value)
-        if chosen is None:
-            raise IllegalActionError(
-                f"action {action!r} in state {cfg.state!r} has no outcome {value!r}"
-            )
-        target = chosen
-    assigns = spec.internal.assigns
-    store = update(branch.pre_assigns, cfg.store, assigns)
-    if not eval_preds(branch.preds, store, spec.internal.preds):
-        return StepOutcome(TInfo(cfg.state, store), False, branch, is_input)
-    store = update(branch.post_assigns, store, assigns)
-    return StepOutcome(TInfo(target, store), True, branch, is_input)
+    store = cfg.store
+    t = compile_transition(spec, cfg.state, action, store.vars)
+    scope = scope_of(store)
+    state, after, triggered = fire(t, cfg.state, action, value, scope)
+    if after is not scope:
+        store = store_of(after, store)
+    return StepOutcome(TInfo(state, store), triggered, t.branch, t.is_input)

@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulation of the two bundled protocols.
 
-Participants execute every action through :func:`tsmon.semantics.step` on
-their bundled typestate, so the emitted traces conform by construction and a
-replay reproduces the exact configuration trajectory.  Each trace event's
-direction is the session side of the branch that ``step`` executed.
+Participants execute every action on their bundled typestate with
+:func:`tsmon.semantics.fire`, each compiling the (state, action) pairs it
+meets once into a :class:`tsmon.semantics.Transitions` table, so the emitted
+traces conform by construction and a replay reproduces the exact
+configuration trajectory.  Each trace event's direction is the session side
+of the transition that was executed.
 Messages that a participant ignores as outdated or duplicated are not action
 executions and do not appear in traces.
 
@@ -199,18 +201,20 @@ class _Participant:
 
     def __init__(self, name: str, spec: ProtocolSpec):
         self.name = name
-        self.spec = spec
-        self.cfg = semantics.initial_config(spec)
+        cfg = semantics.initial_config(spec)
+        self.state, self.scope = cfg.state, semantics.scope_of(cfg.store)
+        self.transitions = semantics.Transitions(spec, cfg.store.vars)
         self.events: list[TraceEvent] = []
 
-    def execute(self, action: str) -> semantics.StepOutcome:
-        outcome = semantics.step(self.spec, self.cfg, action)
-        direction = DIRECTION_IN if outcome.is_input else DIRECTION_OUT
+    def execute(self, action: str) -> str:
+        """Execute ``action`` and return the next state."""
+        t = self.transitions[self.state, action]
+        self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
+        direction = DIRECTION_IN if t.is_input else DIRECTION_OUT
         self.events.append(
             TraceEvent(self.name, action, direction, None, len(self.events))
         )
-        self.cfg = outcome.next
-        return outcome
+        return self.state
 
 
 class _Network:
@@ -340,10 +344,10 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     pstate = {name: {"max_round": 0, "closed": 0, "vote": 0} for name in peer_names}
 
     def leader_vreq() -> None:
-        outcome = leader.execute("vreq")
+        state = leader.execute("vreq")
         for name in peer_names:
             network.send(peer_vreq, name, current)
-        if outcome.next.state == "L2":
+        if state == "L2":
             finish_round()
         else:
             loop.at(cfg.retry_interval, retry, current)
@@ -368,9 +372,9 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     def leader_vack(sender: str, rnd: int, bit: int) -> None:
         if finished or rnd != current or sender in votes:
             return  # outdated or duplicate acknowledgement
-        outcome = leader.execute("vack")
+        state = leader.execute("vack")
         votes[sender] = bit
-        if outcome.next.state == "L2":
+        if state == "L2":
             finish_round()
 
     def peer_vreq(name: str, rnd: int) -> None:

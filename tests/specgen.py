@@ -165,6 +165,81 @@ def random_stateful_spec(seed: int) -> ProtocolSpec:
     )
 
 
+def overflow_prone_spec(seed: int) -> ProtocolSpec:
+    """A small spec whose rules overflow int64 from values near the bounds:
+    ``lit`` assigns a literal outside the range, ``add``, ``sub`` and ``mul``
+    push a variable past a bound with ``+``, ``-`` and ``*``."""
+    rng = random.Random(seed)
+    big = 1 << 62
+    consts = {"big": big}
+    vars_ = {
+        "x": IntLit(rng.choice([0, 1, big, (1 << 63) - 1, -(1 << 63)])),
+        "y": IntLit(rng.choice([2, -3, 1 << 32, -(1 << 33)])),
+    }
+    assigns = {
+        "lit": Assignment("x", IntLit(rng.choice([1 << 63, -(1 << 63) - 1]))),
+        "add": Assignment("x", BinOp("+", Name("x"), Name("big"))),
+        "sub": Assignment("x", BinOp("-", Name("x"), Name("big"))),
+        "mul": Assignment("y", BinOp("*", Name("y"), Name("y"))),
+        "copy": Assignment("y", Name("x")),
+        "zero": Assignment("x", IntLit(0)),
+    }
+    preds = {
+        "pos": Predicate((Comparison(">", Name("x"), IntLit(0)),)),
+        "apart": Predicate(
+            (Comparison("<", Name("y"), Name("big")), Comparison("!=", Name("x"), Name("y")))
+        ),
+    }
+    names = ["Q0", "Q1"]
+    states: dict[str, StateBody] = {}
+    for state in names:
+        branches = []
+        for j in range(rng.randint(2, 3)):
+            if rng.random() < 0.3:
+                rtype = TypeRef("boolean")
+                dest = DecisionDest(((True, rng.choice(names)), (False, rng.choice(names))))
+            else:
+                rtype = TypeRef("unit")
+                dest = PlainDest(rng.choice(names))
+            branches.append(
+                Branch(
+                    action=ActionSignature(f"a{j}", (), rtype),
+                    ratio=None,
+                    pre_assigns=tuple(rng.sample(sorted(assigns), rng.randint(0, 2))),
+                    preds=tuple(rng.sample(sorted(preds), rng.randint(0, 1))),
+                    dest=dest,
+                    post_assigns=tuple(rng.sample(sorted(assigns), rng.randint(0, 2))),
+                )
+            )
+        half = rng.randint(0, len(branches))
+        states[state] = StateBody(
+            in_branches=tuple(branches[:half]), out_branches=tuple(branches[half:])
+        )
+    return ProtocolSpec(
+        typestate=Typestate(states=states),
+        internal=InternalStateDecl(consts=consts, vars=vars_, assigns=assigns, preds=preds),
+    )
+
+
+def chain_spec(n_states: int) -> ProtocolSpec:
+    """States ``C0`` .. ``C<n-1>`` in a line: ``fwd`` (input) moves right and
+    counts the step in ``hops``, ``back`` (output, ratio 1) moves left."""
+    names = [f"C{i}" for i in range(n_states)]
+    states = {}
+    for i, state in enumerate(names):
+        right, left = names[min(i + 1, n_states - 1)], names[max(i - 1, 0)]
+        fwd = Branch(ActionSignature("fwd"), None, ("inc",), (), PlainDest(right))
+        back = Branch(ActionSignature("back"), 1.0, (), (), PlainDest(left))
+        states[state] = StateBody(in_branches=(fwd,), out_branches=(back,))
+    return ProtocolSpec(
+        typestate=Typestate(states=states),
+        internal=InternalStateDecl(
+            vars={"hops": IntLit(0)},
+            assigns={"inc": Assignment("hops", BinOp("+", Name("hops"), IntLit(1)))},
+        ),
+    )
+
+
 # --------------------------------------------------------------------------
 # Token-level mutations of the bundled specs
 # --------------------------------------------------------------------------

@@ -1,25 +1,43 @@
-"""Stepping semantics, checked against a direct interpreter of the rules."""
+"""Stepping semantics, checked against a direct interpreter of the rules and
+against the tree-walking interpreter that the compiled transitions replaced."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsmon import specs
+from tsmon import semantics, specs
 from tsmon.dsl import parse_protocol
-from tsmon.model import DecisionDest, IntLit, Name, PlainDest, decisions_of
+from tsmon.model import (
+    Assignment,
+    BinOp,
+    Comparison,
+    DecisionDest,
+    IntLit,
+    Name,
+    PlainDest,
+    Predicate,
+    decisions_of,
+)
+from tsmon.monitor import MonitorConfig, TraceEvent, initial_monitor, monitor_step, run_trace
 from tsmon.semantics import (
     EvalError,
     IllegalActionError,
     INT64_MAX,
+    INT64_MIN,
+    StepOutcome,
     TInfo,
     VarStore,
+    eval_expr,
     eval_preds,
     initial_config,
     step,
     update,
 )
 
-from specgen import random_stateful_spec
+from specgen import chain_spec, overflow_prone_spec, random_stateful_spec
 
 
 def store(values, consts=None):
@@ -287,3 +305,297 @@ def test_step_matches_rule_interpreter(seed):
                 assert got.next.state == expected[0]
                 assert dict(got.next.store.vars) == expected[1]
                 assert got.triggered == expected[2]
+
+
+# --------------------------------------------------------------------------
+# Differential check against the tree-walking interpreter that the compiled
+# transitions replaced, kept here verbatim as an oracle.  The one addition:
+# an overflow error records in ``where`` the node that raised it (a literal,
+# a name or an operator), so that a test can tell which checks it reached.
+# --------------------------------------------------------------------------
+
+
+def _old_check_range(value, where):
+    if not INT64_MIN <= value <= INT64_MAX:
+        exc = EvalError(f"arithmetic overflow: {value} outside 64-bit range")
+        exc.where = where
+        raise exc
+    return value
+
+
+def _old_value(store, name):
+    if name in store.vars:
+        return store.vars[name]
+    if name in store.consts:
+        return store.consts[name]
+    raise EvalError(f"unknown name {name!r}")
+
+
+def _old_eval_expr(expr, store):
+    if isinstance(expr, IntLit):
+        return _old_check_range(expr.value, "literal")
+    if isinstance(expr, Name):
+        return _old_check_range(_old_value(store, expr.ident), "name")
+    left = _old_eval_expr(expr.left, store)
+    right = _old_eval_expr(expr.right, store)
+    if expr.op == "+":
+        return _old_check_range(left + right, "+")
+    if expr.op == "-":
+        return _old_check_range(left - right, "-")
+    return _old_check_range(left * right, "*")
+
+
+def _old_eval_clause(clause, store):
+    return _OPS[clause.op](_old_eval_expr(clause.left, store), _old_eval_expr(clause.right, store))
+
+
+def _old_update(keys, store, assigns):
+    if not keys:
+        return store
+    values = dict(store.vars)
+    updated = VarStore(vars=values, consts=store.consts)
+    for key in keys:
+        rule = assigns.get(key)
+        if rule is None:
+            raise EvalError(f"unknown assignment key {key!r}")
+        value = _old_eval_expr(rule.expr, updated)
+        if rule.target not in values:
+            raise EvalError(f"{rule.target!r} is not a variable")
+        values[rule.target] = value
+    return updated
+
+
+def _old_eval_preds(keys, store, preds):
+    for key in keys:
+        pred = preds.get(key)
+        if pred is None:
+            raise EvalError(f"unknown predicate key {key!r}")
+        if not all(_old_eval_clause(c, store) for c in pred.clauses):
+            return False
+    return True
+
+
+def _old_step(spec, cfg, action, value=None):
+    body = spec.typestate.states.get(cfg.state)
+    found = body.find(action) if body is not None else None
+    if found is None:
+        raise IllegalActionError(f"state {cfg.state!r} offers no action {action!r}")
+    branch, is_input = found
+    if isinstance(branch.dest, PlainDest):
+        if value is not None:
+            raise IllegalActionError(
+                f"action {action!r} in state {cfg.state!r} returns no value, got {value!r}"
+            )
+        target = branch.dest.state
+    else:
+        chosen = branch.dest.target(value)
+        if chosen is None:
+            raise IllegalActionError(
+                f"action {action!r} in state {cfg.state!r} has no outcome {value!r}"
+            )
+        target = chosen
+    assigns = spec.internal.assigns
+    store = _old_update(branch.pre_assigns, cfg.store, assigns)
+    if not _old_eval_preds(branch.preds, store, spec.internal.preds):
+        return StepOutcome(TInfo(cfg.state, store), False, branch, is_input)
+    store = _old_update(branch.post_assigns, store, assigns)
+    return StepOutcome(TInfo(target, store), True, branch, is_input)
+
+
+def _result(fn, *args):
+    """("ok", the result), or the exception's type and message."""
+    try:
+        return "ok", fn(*args)
+    except (IllegalActionError, EvalError) as exc:
+        return type(exc), str(exc)
+
+
+def _kind(spec, cfg, action, value):
+    """What ``_old_step`` does with the step, for the coverage check."""
+    try:
+        out = _old_step(spec, cfg, action, value)
+    except EvalError as exc:
+        return f"overflow at {exc.where}" if hasattr(exc, "where") else "eval error"
+    except IllegalActionError as exc:
+        if type(value) is int and value == 1 and "has no outcome" in str(exc):
+            return "1 for true"
+        return "wrong outcome" if "has no outcome" in str(exc) else "illegal"
+    return "triggered" if out.triggered else "not triggered"
+
+
+# Start values: 0 to 4 as random_stateful_spec expects, the int64 bounds, and
+# values outside them that only a hand-built store can hold.
+_START_VALUES = [0, 1, 2, 3, 4, INT64_MAX, INT64_MIN, INT64_MAX + 1, INT64_MIN - 1]
+_WRONG_VALUES = [None, True, False, 1, 0, 1.0, "c0", []]
+
+
+def _differential_walk(spec, store, choose, steps):
+    """Walk ``spec`` from ``store`` along actions and values picked by
+    ``choose``; at every step the compiled ``step``, ``update`` and
+    ``eval_preds`` must give what the oracle gives.  Returns the kinds of
+    step seen."""
+    internal = spec.internal
+    cfg = TInfo(spec.typestate.start, store)
+    seen = set()
+    for _ in range(steps):
+        body = spec.typestate.states.get(cfg.state)
+        branches = body.branches() if body is not None else ()
+        action = choose([br.action.name for br in branches] + ["nope"])
+        found = body.find(action) if body is not None else None
+        right = [None]
+        if found is not None and not isinstance(found[0].dest, PlainDest):
+            right = [o for o, _ in found[0].dest.cases]
+        value = choose(right * 3 + _WRONG_VALUES)
+        want = _result(_old_step, spec, cfg, action, value)
+        assert _result(step, spec, cfg, action, value) == want, (cfg, action, value)
+        seen.add(_kind(spec, cfg, action, value))
+        keys = tuple(choose(sorted(internal.assigns) + ["A9"]) for _ in range(choose([0, 1, 2])))
+        assert _result(update, keys, cfg.store, internal.assigns) == _result(
+            _old_update, keys, cfg.store, internal.assigns
+        )
+        keys = tuple(choose(sorted(internal.preds) + ["P9"]) for _ in range(choose([0, 1, 2])))
+        assert _result(eval_preds, keys, cfg.store, internal.preds) == _result(
+            _old_eval_preds, keys, cfg.store, internal.preds
+        )
+        if want[0] == "ok":
+            cfg = want[1].next
+    return seen
+
+
+def _start_store(spec, choose):
+    """The initial store, or one with each variable set by ``choose``."""
+    store = initial_config(spec).store
+    if choose([False, True]):
+        store = VarStore({name: choose(_START_VALUES) for name in store.vars}, store.consts)
+    return store
+
+
+_SPECS = [random_stateful_spec, overflow_prone_spec]
+
+
+class TestCompiledMatchesTreeWalker:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_walks(self, data):
+        def choose(options):
+            return data.draw(st.sampled_from(options))
+
+        spec = choose(_SPECS)(data.draw(st.integers(0, 10_000)))
+        _differential_walk(spec, _start_store(spec, choose), choose, 25)
+
+    def test_walks_reach_every_kind_of_step(self):
+        rng = random.Random(0)
+        seen = set()
+        for seed in range(40):
+            spec = _SPECS[seed % 2](seed)
+            seen |= _differential_walk(spec, _start_store(spec, rng.choice), rng.choice, 40)
+        assert seen >= {
+            "triggered",
+            "not triggered",
+            "wrong outcome",
+            "1 for true",
+            "illegal",
+            "overflow at literal",
+            "overflow at name",
+            "overflow at +",
+            "overflow at -",
+            "overflow at *",
+        }
+
+    def test_wrappers_match_on_hand_built_stores(self, leader):
+        # x is both a variable and a constant, y is out of range, z is not
+        # a variable and c only a constant.
+        store = VarStore({"x": INT64_MAX, "y": INT64_MAX + 1}, {"c": 2, "x": 0})
+        for expr in (
+            IntLit(INT64_MIN - 1),
+            Name("x"),
+            Name("y"),
+            Name("c"),
+            Name("nope"),
+            BinOp("+", Name("x"), IntLit(1)),
+            BinOp("-", IntLit(INT64_MIN), Name("c")),
+            BinOp("*", Name("c"), BinOp("-", Name("x"), IntLit(1))),
+            BinOp("*", IntLit(INT64_MIN), IntLit(-1)),
+        ):
+            assert _result(eval_expr, expr, store) == _result(_old_eval_expr, expr, store)
+        assigns = {
+            "up": Assignment("x", BinOp("+", Name("x"), IntLit(1))),
+            "down": Assignment("x", BinOp("-", Name("x"), Name("c"))),
+            "const": Assignment("c", IntLit(1)),
+            "z": Assignment("z", Name("c")),
+            "z_overflow": Assignment("z", Name("y")),
+        }
+        for keys in [
+            ("down", "down"), ("down", "up"), ("up", "nope"), ("nope", "up"),
+            ("down", "const"), ("z",), ("z_overflow",), ("down", "z"),
+        ]:
+            assert _result(update, keys, store, assigns) == _result(_old_update, keys, store, assigns)
+        preds = {
+            "above": Predicate((Comparison(">", Name("x"), Name("c")),)),
+            "below": Predicate((Comparison("<", Name("x"), IntLit(0)), Comparison("==", Name("y"), IntLit(0)))),
+        }
+        for keys in [("above",), ("below", "nope"), ("nope", "below"), ("above", "below")]:
+            assert _result(eval_preds, keys, store, preds) == _result(_old_eval_preds, keys, store, preds)
+        # The leader's rules on stores that lack a variable or hold it as a constant.
+        for vars_, consts in [({"acks": 0}, {"n": 2, "k": 5}), ({"acks": 0}, {"retries": 3, "n": 2, "k": 5})]:
+            cfg = TInfo("L1", VarStore(vars_, consts))
+            for action in ("vreq", "vack"):
+                assert _result(step, leader, cfg, action) == _result(_old_step, leader, cfg, action)
+
+
+# --------------------------------------------------------------------------
+# Each (state, action) is compiled once per run, and a single step compiles
+# only the transition it takes.
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The (state, action) of every compile_transition call, in order."""
+    calls = []
+    compile_transition = semantics.compile_transition
+
+    def counting(spec, state, action, variables):
+        calls.append((state, action))
+        return compile_transition(spec, state, action, variables)
+
+    monkeypatch.setattr(semantics, "compile_transition", counting)
+    return calls
+
+
+def _chain_events(n_states):
+    """Forward to the end of the chain, back and forth in the middle, then
+    back to the start, with an action the chain does not offer at each end."""
+    actions = ["fwd"] * n_states + ["nope"] + ["back", "fwd"] * 50 + ["back"] * n_states + ["nope"]
+    return [
+        TraceEvent("c", a, "in" if a != "back" else "out", None, i) for i, a in enumerate(actions)
+    ]
+
+
+class TestCompileOnce:
+    def test_step_compiles_one_transition_per_call(self, compiled, leader):
+        cfg = initial_config(leader)
+        for i, action in enumerate(["vreq", "vack", "vack", "vwb", "vreq"], start=1):
+            cfg = step(leader, cfg, action).next
+            assert len(compiled) == i
+        with pytest.raises(IllegalActionError):
+            step(leader, cfg, "nope")
+        assert len(compiled) == 6
+
+    def test_monitor_step_compiles_one_transition_per_call(self, compiled):
+        spec = chain_spec(1600)
+        conf = MonitorConfig(warmup=0)
+        cfg = initial_monitor(spec)
+        for i, ev in enumerate(_chain_events(1600)[:200], start=1):
+            cfg = monitor_step(spec, cfg, conf, ev)
+            assert len(compiled) == i
+
+    def test_run_trace_compiles_each_pair_at_most_once(self, compiled):
+        spec = chain_spec(1600)
+        events = _chain_events(1600)
+        result = run_trace(spec, MonitorConfig(warmup=0), events)
+        assert len(compiled) == len(set(compiled))
+        assert len(compiled) == 1600 + 1 + 1600 + 1  # fwd and back at each state, nope at both ends
+        assert result.state == "C0"
+        assert result.store.vars == {"hops": 1600 + 50}
+        assert sum(e.verdict == "illegal" for e in result.log) == 2

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from tsmon import specs
+from tsmon import simnet, specs
 from tsmon.monitor import MonitorConfig, VERDICT_ILLEGAL, run_trace
-from tsmon.semantics import initial_config, step
+from tsmon.semantics import IllegalActionError, initial_config, scope_of, step
 from tsmon.simnet import (
     AbpConfig,
     BitVoteConfig,
@@ -321,3 +321,64 @@ class TestGridDigest:
                         _run_digest(hasher, f"bitvote {cfg}\n", run_bitvote, cfg)
         assert hasher.hexdigest() == BITVOTE_GRID_DIGEST
 
+
+
+class TestReplayGrid:
+    """Both simulators over seed x drop x dup x jitter, with ack rate 1 and
+    0.6 for abp and n = 1 and 3 for bitvote: every trace of a completed run
+    replays through the monitor with no illegal entry and ends in the state
+    and variables its participant ended in.  Runs that hit the known crash
+    (a peer that never saw a vreq gets a vwb) are counted, and the count is
+    pinned."""
+
+    SEEDS = range(10)
+    FAULTS = [(drop, dup, jitter) for drop in (0.0, 0.3) for dup in (0.0, 0.2) for jitter in (0, 2)]
+
+    @pytest.fixture
+    def participants(self, monkeypatch):
+        """Every participant the simulators create, in order."""
+        made = []
+
+        class Recorded(simnet._Participant):
+            def __init__(self, name, spec):
+                super().__init__(name, spec)
+                self.spec = spec
+                made.append(self)
+
+        monkeypatch.setattr(simnet, "_Participant", Recorded)
+        return made
+
+    def _replay(self, participants, run_fn, cfg) -> int:
+        """1 if the run hit the vwb crash, else 0 after checking each replay."""
+        participants.clear()
+        try:
+            run = run_fn(cfg)
+        except IllegalActionError as exc:
+            assert str(exc) == "state 'Pr0' offers no action 'vwb'"
+            return 1
+        assert sorted(p.name for p in participants) == sorted(run.traces)
+        for p in participants:
+            result = run_trace(p.spec, MonitorConfig(), run.traces[p.name])
+            assert [e for e in result.log if e.verdict == VERDICT_ILLEGAL] == [], (cfg, p.name)
+            assert (result.state, scope_of(result.store)) == (p.state, p.scope), (cfg, p.name)
+        return 0
+
+    def test_abp(self, participants):
+        crashed = 0
+        for seed in self.SEEDS:
+            for drop, dup, jitter in self.FAULTS:
+                for ack_prob in (1.0, 0.6):
+                    net = NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=jitter)
+                    cfg = AbpConfig(net=net, rounds=60, ack_prob=ack_prob)
+                    crashed += self._replay(participants, run_abp, cfg)
+        assert crashed == 0
+
+    def test_bitvote(self, participants):
+        crashed = 0
+        for seed in self.SEEDS:
+            for drop, dup, jitter in self.FAULTS:
+                for n in (1, 3):
+                    net = NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=jitter)
+                    cfg = BitVoteConfig(net=net, n=n, voting_rounds=8)
+                    crashed += self._replay(participants, run_bitvote, cfg)
+        assert crashed == 7  # of 160 runs, all at drop 0.3 and n = 3
