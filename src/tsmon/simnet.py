@@ -237,10 +237,18 @@ class _Network:
 
 def _finish(
     protocol: str, cfg: object, loop: _EventLoop, tick_budget: int,
-    participants: Iterable[_Participant],
+    participants: tuple[_Participant, ...],
 ) -> SimRun:
-    """Run ``loop`` within the tick budget; collect each participant's trace."""
-    truncated = loop.run(tick_budget)
+    """Run ``loop`` within the tick budget; collect each participant's trace.
+
+    The handlers of a run call each other, so they form reference cycles
+    that keep the participants alive until the cycle collector runs; the
+    compiled transitions are released as soon as the run ends instead."""
+    try:
+        truncated = loop.run(tick_budget)
+    finally:
+        for p in participants:
+            p.transitions.clear()
     return SimRun(
         protocol=protocol,
         traces={p.name: tuple(p.events) for p in participants},

@@ -356,6 +356,8 @@ class TestReplayGrid:
         except IllegalActionError as exc:
             assert str(exc) == "state 'Pr0' offers no action 'vwb'"
             return 1
+        finally:  # a run releases its compiled transitions, crashed or not
+            assert [len(p.transitions) for p in participants] == [0] * len(participants)
         assert sorted(p.name for p in participants) == sorted(run.traces)
         for p in participants:
             result = run_trace(p.spec, MonitorConfig(), run.traces[p.name])
