@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from enum import IntEnum
 from pathlib import Path
 from typing import NoReturn, Optional
@@ -17,10 +18,9 @@ from typing import NoReturn, Optional
 import click
 
 from . import monitor as monitor_mod
-from . import simnet
+from . import semantics, simnet
 from .dsl import ParseError, parse_protocol
 from .model import ProtocolSpec
-from .semantics import EvalError
 from .wellformed import Diagnostic, build_trs, export_dot, validate
 
 __all__ = ["ExitStatus", "main"]
@@ -64,12 +64,17 @@ def _print_diagnostics(path: str, diags: list[Diagnostic]) -> None:
 
 def _read_valid_spec(path: str) -> ProtocolSpec:
     """Read a spec that must pass ``validate``; print its diagnostics and
-    exit 1 when it does not."""
+    exit 1 when it does not, and exit 2 when an initial value cannot be
+    evaluated (it leaves the int64 range)."""
     spec = _read_spec(path)
     diags = validate(spec)
     if diags:
         _print_diagnostics(path, diags)
         sys.exit(int(ExitStatus.FINDINGS))
+    try:
+        semantics.initial_config(spec)
+    except semantics.EvalError as exc:
+        _fail(ExitStatus.USAGE, f"{path}: initial values: {exc}")
     return spec
 
 
@@ -82,9 +87,8 @@ def main() -> None:
 @click.argument("spec_path", type=click.Path())
 def validate_cmd(spec_path: str) -> None:
     """Check a .tsp spec against all well-formedness and transition rules."""
-    diags = validate(_read_spec(spec_path))
-    _print_diagnostics(spec_path, diags)
-    sys.exit(int(ExitStatus.FINDINGS if diags else ExitStatus.OK))
+    _read_valid_spec(spec_path)
+    sys.exit(int(ExitStatus.OK))
 
 
 @main.command()
@@ -191,12 +195,7 @@ def monitor_cmd(
     except (ValueError, KeyError) as exc:
         # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
         _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
-    try:
-        result = monitor_mod.run_trace(spec, conf, events)
-    except EvalError as exc:
-        # Only the initial variable values can fail here: a step that fails
-        # to evaluate is logged as illegal.
-        _fail(ExitStatus.USAGE, f"{spec_path}: initial values: {exc}")
+    result = monitor_mod.run_trace(spec, conf, events)
     if log_path is None:
         monitor_mod.write_log(sys.stdout, result.log)
     else:
@@ -204,17 +203,16 @@ def monitor_cmd(
             monitor_mod.write_log(log_path, result.log)
         except OSError as exc:
             _fail(ExitStatus.USAGE, f"cannot write {log_path}: {exc.strerror or exc}")
-    verdicts = [e.verdict for e in result.log]
-    deviations = sum(
-        v in (monitor_mod.VERDICT_DEVIATION_LOW, monitor_mod.VERDICT_DEVIATION_HIGH)
-        for v in verdicts
+    verdicts = Counter(e.verdict for e in result.log)
+    deviations = (
+        verdicts[monitor_mod.VERDICT_DEVIATION_LOW] + verdicts[monitor_mod.VERDICT_DEVIATION_HIGH]
     )
-    illegal = verdicts.count(monitor_mod.VERDICT_ILLEGAL)
+    illegal = verdicts[monitor_mod.VERDICT_ILLEGAL]
     summary = {
         "events": len(events),
-        "monitored": len(verdicts) - illegal,
-        "ok": verdicts.count(monitor_mod.VERDICT_OK),
-        "warmup": verdicts.count(monitor_mod.VERDICT_WARMUP),
+        "monitored": len(result.log) - illegal,
+        "ok": verdicts[monitor_mod.VERDICT_OK],
+        "warmup": verdicts[monitor_mod.VERDICT_WARMUP],
         "deviations": deviations,
         "illegal": illegal,
     }

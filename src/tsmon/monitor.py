@@ -25,6 +25,10 @@ distinct value of the fields that repeat from line to line, and fills in
 ``seq``, or ``observed`` and ``event_index``; a line with a field of another
 type is dumped whole.  :func:`read_trace` parses a line in full only when its
 head (all before ``, "seq": ``) is new, and else reads just the ``seq``.
+
+:class:`TraceEvent` and :class:`LogEntry` are named tuples: immutable, built
+by position or keyword, read by attribute, index or unpacking, and equal to a
+plain tuple of their fields.  The loop and the codecs unpack them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union, get_args
+from typing import IO, Iterable, Mapping, NamedTuple, Optional, Union, get_args
 
 from . import semantics
 from .model import ProtocolSpec, Value
@@ -107,8 +111,7 @@ class MonitorConfig:
         return self.per_action_error.get((state, action), self.error_bound)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One observed action execution."""
 
     participant: str
@@ -118,8 +121,7 @@ class TraceEvent:
     seq: int = 0
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One monitor observation.
 
     ``mu``/``interval``/``observed`` are ``None`` on illegal entries, where
@@ -165,17 +167,14 @@ def _resume(
     n = dict(cfg.n)
     p = dict(cfg.p)
     log = list(cfg.log)
-    for ev in events:
-        action = ev.action
+    for _, action, direction, value, seq in events:
         t = table[state, action]
         try:
-            target, after, _ = fire(t, state, action, ev.value, scope)
+            target, after, _ = fire(t, state, action, value, scope)
         except (IllegalActionError, EvalError):
             t = None
-        if t is None or ev.direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
-            log.append(
-                LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, ev.seq)
-            )
+        if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
+            log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
             continue
         mu = t.branch.ratio
         if mu is not None:
@@ -192,7 +191,7 @@ def _resume(
                 verdict = VERDICT_DEVIATION_HIGH
             else:
                 verdict = VERDICT_OK
-            log.append(LogEntry(state, action, mu, (low, high), observed, verdict, ev.seq))
+            log.append(LogEntry(state, action, mu, (low, high), observed, verdict, seq))
             n[state] = n_before + 1
             p[(state, action)] = p_before + 1
         state, scope = target, after
@@ -281,7 +280,7 @@ def _write(target: Union[str, Path, IO[str]], lines: Iterable[str]) -> None:
 def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:
     lines, templates = [], {}
     for ev in events:
-        p, a, d, v, seq = ev.participant, ev.action, ev.direction, ev.value, ev.seq
+        p, a, d, v, seq = ev
         if type(seq) is int and type(p) is type(a) is type(d) is str and type(v) in _VALUE_TYPES:
             template = templates.get((p, a, d, v))
             if template is None:
@@ -314,7 +313,7 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
             except RecursionError:
                 raise ValueError("trace line nests too deeply") from None
             if _SEQ_TAIL.fullmatch(tail):
-                heads[head] = (ev.participant, ev.action, ev.direction, ev.value)
+                heads[head] = ev[:4]  # all but seq
             participants.add(ev.participant)
             events.append(ev)
     if len(participants) > 1:
@@ -337,14 +336,14 @@ def log_entry_to_json(entry: LogEntry) -> dict:
 def write_log(target: Union[str, Path, IO[str]], log: Iterable[LogEntry]) -> None:
     lines, templates = [], {}
     for e in log:
-        mu, iv, obs, idx = e.mu, e.interval, e.observed, e.event_index
+        state, action, mu, iv, obs, verdict, idx = e
         # mu and the interval key the cache, so they must be floats (1 and True
         # equal 1.0) and not zero (0.0 equals -0.0).
         if (type(idx) is int and type(obs) is float and math.isfinite(obs)
                 and type(mu) is float and mu and type(iv) is tuple and len(iv) == 2
                 and type(iv[0]) is type(iv[1]) is float and iv[0] and iv[1]
-                and type(e.state) is type(e.action) is type(e.verdict) is str):
-            key = (e.state, e.action, mu, iv, e.verdict)
+                and type(state) is type(action) is type(verdict) is str):
+            key = (state, action, mu, iv, verdict)
             template = templates.get(key)
             if template is None:
                 template = templates[key] = _template(

@@ -211,9 +211,7 @@ class _Participant:
         t = self.transitions[self.state, action]
         self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
         direction = DIRECTION_IN if t.is_input else DIRECTION_OUT
-        self.events.append(
-            TraceEvent(self.name, action, direction, None, len(self.events))
-        )
+        self.events.append(TraceEvent(self.name, action, direction, None, len(self.events)))
         return self.state
 
 

@@ -300,13 +300,14 @@ class TestMonitor:
         spec.write_text(decls + "state S0 = !{ unit tick() : S0 }\n")
         trace = tmp_path / "empty.jsonl"
         trace.write_text("")
-        assert invoke(runner, ["validate", str(spec)]).exit_code == 0
-        result = invoke(runner, ["monitor", str(spec), "--trace", str(trace)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and "arithmetic overflow" in lines[0]
+        for args in (["validate", str(spec)], ["graph", str(spec)],
+                     ["monitor", str(spec), "--trace", str(trace)]):
+            result = invoke(runner, args)
+            assert result.exit_code == 2, args
+            assert result.stdout == ""
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: {spec}: initial values: arithmetic overflow")
 
     def test_log_to_stdout_summary_to_stderr(self, runner, tmp_path):
         self._simulate(runner, tmp_path)

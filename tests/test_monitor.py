@@ -1,6 +1,5 @@
 """Monitor engine: verdict formula, counters, opacity, and JSONL round trips."""
 
-import dataclasses
 import io
 import json
 import math
@@ -444,7 +443,7 @@ class TestCodecs:
     )
     def test_write_log_keeps_equal_values_apart(self, field, twins):
         base = LogEntry("R1", "ack", 0.5, (0.25, 0.75), 0.5, VERDICT_OK, 1)
-        log = [dataclasses.replace(base, **{field: twin}) for twin in twins + twins[::-1]]
+        log = [base._replace(**{field: twin}) for twin in twins + twins[::-1]]
         out = io.StringIO()
         write_log(out, log)
         assert out.getvalue() == _reference_lines(log_entry_to_json, log)
@@ -456,7 +455,7 @@ class TestCodecs:
     )
     def test_write_trace_keeps_equal_values_apart(self, field, twins):
         base = TraceEvent("r", "msg", "in", True, 1)
-        events = [dataclasses.replace(base, **{field: twin}) for twin in twins + twins[::-1]]
+        events = [base._replace(**{field: twin}) for twin in twins + twins[::-1]]
         out = io.StringIO()
         write_trace(out, events)
         assert out.getvalue() == _reference_lines(trace_event_to_json, events)
@@ -486,6 +485,74 @@ class TestCodecs:
             for seq in ("0", "-0", "7", str(2**80), str(10**150))
         )
         assert [ev.seq for ev in read_trace(io.StringIO(text))] == [0, 0, 7, 2**80, 10**150]
+
+
+class TestRecords:
+    """TraceEvent and LogEntry are named tuples: immutable records that equal
+    a plain tuple of their fields."""
+
+    ENTRY = ("R1", "ack", 0.5, (0.25, 0.75), 0.5, VERDICT_OK, 1)
+
+    def test_keyword_construction_and_defaults(self):
+        ev = TraceEvent(participant="r", action="msg", direction="in")
+        assert (ev.value, ev.seq) == (None, 0)
+        assert ev == TraceEvent("r", "msg", "in", None, 0)
+        entry = LogEntry(state="R1", action="ack", mu=0.5, interval=(0.25, 0.75),
+                         observed=0.5, verdict=VERDICT_OK, event_index=1)
+        assert entry == LogEntry(*self.ENTRY)
+        assert (entry.state, entry.interval, entry.event_index) == ("R1", (0.25, 0.75), 1)
+        with pytest.raises(TypeError):
+            LogEntry("R1", "ack", 0.5, (0.25, 0.75), 0.5, VERDICT_OK)
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [(TraceEvent("r", "msg", "in"), "seq"), (TraceEvent("r", "msg", "in"), "extra"),
+         (LogEntry(*ENTRY), "verdict"), (LogEntry(*ENTRY), "extra")],
+    )
+    def test_assignment_raises(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        ev = TraceEvent("r", "ask", "out", True, 1)
+        # As with the frozen dataclasses, fields compare with ==, so True
+        # equals 1 and 1.0; the JSONL reader refuses a number for ``value``.
+        for twin in (TraceEvent("r", "ask", "out", 1, True), TraceEvent("r", "ask", "out", 1.0, 1)):
+            assert ev == twin and hash(ev) == hash(twin)
+        assert ev != TraceEvent("r", "ask", "out", False, 1)
+        assert ev != TraceEvent("r", "ask", "out", "true", 1)
+        assert ev == ("r", "ask", "out", True, 1) and hash(ev) == hash(("r", "ask", "out", True, 1))
+        assert LogEntry(*self.ENTRY) == self.ENTRY
+        assert LogEntry(*self.ENTRY) != LogEntry(*self.ENTRY[:-1], 2)
+        assert len({LogEntry(*self.ENTRY), LogEntry(*self.ENTRY[:-1], True)}) == 1
+
+    def test_indexing_and_unpacking(self):
+        participant, action, direction, value, seq = ev = TraceEvent("r", "msg", "in", None, 4)
+        assert (participant, action, direction, value, seq) == ("r", "msg", "in", None, 4)
+        assert ev[1] == ev.action and ev[-1] == ev.seq and ev[:4] == ("r", "msg", "in", None)
+
+    def test_replace(self):
+        entry = LogEntry(*self.ENTRY)
+        illegal = entry._replace(mu=None, interval=None, observed=None, verdict=VERDICT_ILLEGAL)
+        assert illegal == ("R1", "ack", None, None, None, VERDICT_ILLEGAL, 1)
+        assert entry == self.ENTRY
+        ev = TraceEvent("r", "msg", "in")
+        assert ev._replace(seq=3) == TraceEvent("r", "msg", "in", None, 3)
+        with pytest.raises(ValueError):
+            ev._replace(dir="out")
+
+    def test_positional_records_write_like_json_dumps(self):
+        events = [TraceEvent("r", "msg", "in"), TraceEvent("r", "ack", "out", None, 1),
+                  TraceEvent("r", "msg", "in", None, 2), TraceEvent("r", "ask", "out", "é%", 3)]
+        out = io.StringIO()
+        write_trace(out, events)
+        assert out.getvalue() == _reference_lines(trace_event_to_json, events)
+        log = [LogEntry(*self.ENTRY), LogEntry(*self.ENTRY[:-1], 2),
+               LogEntry("R1", "nak", None, None, None, VERDICT_ILLEGAL, 3)]
+        out = io.StringIO()
+        write_log(out, log)
+        assert out.getvalue() == _reference_lines(log_entry_to_json, log)
+
 
 class TestMonitorConfig:
     @pytest.mark.parametrize("bound", [0.0, math.nan, math.inf])
