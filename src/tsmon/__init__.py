@@ -14,7 +14,7 @@ from .model import (
     TypeRef,
     Typestate,
 )
-from .monitor import LogEntry, MonitorConfig, MTInfo, TraceEvent, monitor_step, run_trace
+from .monitor import LogEntry, MonitorConfig, MonitorRun, MTInfo, TraceEvent, monitor_step, run_trace
 from .semantics import StepOutcome, TInfo, VarStore, initial_config, step
 from .simnet import AbpConfig, BitVoteConfig, NetConfig, run_abp, run_bitvote
 from .wellformed import (
@@ -40,6 +40,7 @@ __all__ = [
     "LogEntry",
     "MTInfo",
     "MonitorConfig",
+    "MonitorRun",
     "NetConfig",
     "ParseError",
     "PlainDest",

@@ -14,10 +14,11 @@ transitions.
 One loop, ``_resume``, consumes events: :func:`run_trace` runs it over a
 whole trace from the initial configuration and :func:`monitor_step` over a
 single event, so the fold and the trace run cannot drift apart.  It carries
-the state and the variables itself, compiles each (state, action) pair it
-meets once into a :class:`tsmon.semantics.Transitions` table, executes each
-event with :func:`tsmon.semantics.fire`, and takes the branch's session side
-and ratio from the compiled transition.
+the state, the variables and the counters itself, compiles each (state,
+action) pair it meets once into a :class:`tsmon.semantics.Transitions` table,
+executes each event with :func:`tsmon.semantics.fire`, and takes the session
+side and ratio from the compiled transition.  The log is output, not state:
+the loop appends each entry to its caller's list; :class:`MTInfo` has no log.
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
 per line gives.  A writer caches a format string made by ``json.dumps`` per
@@ -50,6 +51,7 @@ __all__ = [
     "LogEntry",
     "MTInfo",
     "MonitorConfig",
+    "MonitorRun",
     "TraceEvent",
     "VERDICT_DEVIATION_HIGH",
     "VERDICT_DEVIATION_LOW",
@@ -139,34 +141,39 @@ class LogEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class MTInfo:
-    """Monitor configuration: semantics state plus counters and the log."""
+    """Monitor configuration: semantics state plus the ``n``/``p`` counters, no log."""
 
     state: str
     store: VarStore
     n: Mapping[str, int]
     p: Mapping[tuple[str, str], int]
+
+
+class MonitorRun(NamedTuple):
+    """What :func:`run_trace` returns: the last configuration and the log."""
+
+    final: MTInfo
     log: tuple[LogEntry, ...]
 
 
 def initial_monitor(spec: ProtocolSpec) -> MTInfo:
     cfg = semantics.initial_config(spec)
-    return MTInfo(state=cfg.state, store=cfg.store, n={}, p={}, log=())
+    return MTInfo(state=cfg.state, store=cfg.store, n={}, p={})
 
 
 def _resume(
-    spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, events: Iterable[TraceEvent]
+    spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, events: Iterable[TraceEvent],
+    log: list[LogEntry],
 ) -> MTInfo:
-    """The monitor loop: consume ``events`` starting from ``cfg``.
+    """The monitor loop: consume ``events`` from ``cfg``, appending entries to ``log``.
 
-    Counters and the log are copied once and updated in place, so each event
-    costs the same however long the trace is; ``cfg`` itself is not changed.
+    ``cfg`` is not changed: the counters are copied once and updated in place.
     """
     state, store = cfg.state, cfg.store
     scope = start = scope_of(store)
     table = Transitions(spec, store.vars)
     n = dict(cfg.n)
     p = dict(cfg.p)
-    log = list(cfg.log)
     for _, action, direction, value, seq in events:
         t = table[state, action]
         try:
@@ -197,29 +204,31 @@ def _resume(
         state, scope = target, after
     if scope is not start:
         store = store_of(scope, store)
-    return MTInfo(state, store, n, p, tuple(log))
+    return MTInfo(state, store, n, p)
 
 
 def monitor_step(
     spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, ev: TraceEvent
-) -> MTInfo:
-    """Consume one event and return the next monitor configuration.
+) -> tuple[MTInfo, tuple[LogEntry, ...]]:
+    """Consume one event; return the next configuration and its 0 or 1 log entries.
 
     Illegal events (no matching transition, wrong value, a direction that
     contradicts the branch's session side, or an expression that cannot be
-    evaluated) produce an illegal log entry and change nothing else.  Legal
-    events advance the semantics; those with a numeric ratio also update the
-    counters and append a verdict entry.  ``cfg`` is not changed.
+    evaluated) make an illegal entry and change nothing else.  Legal events
+    advance the semantics; those with a numeric ratio also update the
+    counters and make a verdict entry.  ``cfg`` is not changed.
     """
-    return _resume(spec, cfg, conf, (ev,))
+    log: list[LogEntry] = []
+    return _resume(spec, cfg, conf, (ev,), log), tuple(log)
 
 
 def run_trace(
     spec: ProtocolSpec, conf: MonitorConfig, events: Iterable[TraceEvent]
-) -> MTInfo:
-    """Monitor an event sequence ordered by ``seq`` from the initial
-    configuration; equal to folding :func:`monitor_step` over it."""
-    return _resume(spec, initial_monitor(spec), conf, events)
+) -> MonitorRun:
+    """Monitor events ordered by ``seq`` from the initial configuration: the
+    last configuration and the joined entries of a :func:`monitor_step` fold."""
+    log: list[LogEntry] = []
+    return MonitorRun(_resume(spec, initial_monitor(spec), conf, events, log), tuple(log))
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from tsmon.monitor import (
     write_trace,
 )
 from tsmon.semantics import EvalError, IllegalActionError, initial_config, step
-from tsmon.simnet import SplitMix64
+from tsmon.simnet import AbpConfig, NetConfig, SplitMix64, run_abp
 
 
 def r1_stream(count, first="msg"):
@@ -51,10 +52,10 @@ class TestMonitorStep:
     def test_first_event_observed_ratio_is_one(self, receiver):
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(receiver)
-        cfg = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "in", None, 0))
-        assert cfg.log == ()  # R0's msg carries no ratio
-        cfg = monitor_step(receiver, cfg, conf, TraceEvent("r", "ack", "out", None, 1))
-        assert cfg.log[-1].observed == 1.0
+        cfg, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "in", None, 0))
+        assert entries == ()  # R0's msg carries no ratio
+        cfg, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "ack", "out", None, 1))
+        assert [e.observed for e in entries] == [1.0]
 
     def test_hand_computed_four_event_run(self, receiver):
         conf = MonitorConfig(error_bound=0.25, warmup=0)
@@ -70,32 +71,32 @@ class TestMonitorStep:
     def test_unmonitored_action_is_opaque(self, peer):
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(peer)
-        cfg = monitor_step(peer, cfg, conf, TraceEvent("p", "vreq", "in", None, 0))
-        cfg = monitor_step(peer, cfg, conf, TraceEvent("p", "vwb", "in", None, 1))
+        cfg, first = monitor_step(peer, cfg, conf, TraceEvent("p", "vreq", "in", None, 0))
+        cfg, second = monitor_step(peer, cfg, conf, TraceEvent("p", "vwb", "in", None, 1))
         assert cfg.state == "Pr1"
-        assert cfg.n == {} and cfg.log == ()
+        assert cfg.n == {} and first == second == ()
 
     def test_illegal_event_leaves_monitor_unchanged(self, sender):
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(sender)
-        out = monitor_step(sender, cfg, conf, TraceEvent("s", "ack", "in", None, 0))
+        out, entries = monitor_step(sender, cfg, conf, TraceEvent("s", "ack", "in", None, 0))
         assert out.state == "S0"
         assert out.n == cfg.n and out.p == cfg.p
-        assert [e.verdict for e in out.log] == [VERDICT_ILLEGAL]
-        assert out.log[0].mu is None and out.log[0].observed is None
+        assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
+        assert entries[0].mu is None and entries[0].observed is None
 
     def test_direction_mismatch_is_illegal(self, receiver):
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(receiver)
-        out = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "out", None, 0))
+        out, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "out", None, 0))
         assert out.state == "R0"
-        assert [e.verdict for e in out.log] == [VERDICT_ILLEGAL]
+        assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
 
     def test_wrong_decision_value_is_illegal(self, auth):
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(auth)
-        out = monitor_step(auth, cfg, conf, TraceEvent("c", "login", "in", "pending", 0))
-        assert [e.verdict for e in out.log] == [VERDICT_ILLEGAL]
+        _, entries = monitor_step(auth, cfg, conf, TraceEvent("c", "login", "in", "pending", 0))
+        assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
 
     def test_number_for_boolean_outcome_is_illegal(self, ask):
         result = run_trace(ask, MonitorConfig(warmup=0), [TraceEvent("p", "ask", "out", 1, 0)])
@@ -132,14 +133,14 @@ class TestMonitorStep:
 class TestRunTrace:
     def test_empty_trace(self, receiver):
         result = run_trace(receiver, MonitorConfig(), [])
-        assert result.state == "R0"
+        assert result.final.state == "R0"
         assert result.log == ()
 
     def test_leader_retry_exhaustion_trace(self, leader):
         events = [TraceEvent("l", "vreq", "out", None, i) for i in range(5)]
         result = run_trace(leader, MonitorConfig(warmup=0), events)
-        assert result.state == "L2"
-        assert result.store.vars == {"acks": 0, "retries": 5}
+        assert result.final.state == "L2"
+        assert result.final.store.vars == {"acks": 0, "retries": 5}
 
     def test_log_length_accounting(self, receiver):
         events = r1_stream(6) + [TraceEvent("r", "nak", "in", None, 99)]
@@ -156,9 +157,9 @@ class TestRunTrace:
                 direction = "out" if name in ("ack", "vack") else "in"
                 events.append(TraceEvent("x", name, direction, None, i))
             result = run_trace(spec, MonitorConfig(), events)
-            for state, total in result.n.items():
+            for state, total in result.final.n.items():
                 by_action = sum(
-                    count for (s, _a), count in result.p.items() if s == state
+                    count for (s, _a), count in result.final.p.items() if s == state
                 )
                 assert by_action == total
 
@@ -170,11 +171,11 @@ class TestRunTrace:
             TraceEvent("l", a, "in" if a == "vack" else "out", None, i)
             for i, a in enumerate(actions)
         ]
-        result = run_trace(leader, MonitorConfig(), events)
+        final = run_trace(leader, MonitorConfig(), events).final
         cfg = initial_config(leader)
         for ev in events:
             cfg = step(leader, cfg, ev.action).next
-        assert (result.state, dict(result.store.vars)) == (cfg.state, dict(cfg.store.vars))
+        assert (final.state, dict(final.store.vars)) == (cfg.state, dict(cfg.store.vars))
 
     def test_epsilon_opacity_under_deletion(self, peer):
         rng = SplitMix64(23)
@@ -249,6 +250,17 @@ def _walk(draw, spec):
     return events
 
 
+def _fold(spec, conf, cfg, events):
+    """Fold ``monitor_step`` over ``events`` from ``cfg``: the last
+    configuration and the entries of all steps, in order."""
+    log = []
+    for ev in events:
+        cfg, entries = monitor_step(spec, cfg, conf, ev)
+        assert type(entries) is tuple and len(entries) <= 1
+        log += entries
+    return cfg, tuple(log)
+
+
 class TestFold:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -258,17 +270,35 @@ class TestFold:
         k = data.draw(st.integers(0, len(events)))
         conf = MonitorConfig(error_bound=0.2, warmup=2)
         whole = run_trace(spec, conf, events)
-        cfg = initial_monitor(spec)
-        for ev in events:
-            cfg = monitor_step(spec, cfg, conf, ev)
-        assert cfg == whole
+        start = initial_monitor(spec)
+        assert _fold(spec, conf, start, events) == (whole.final, whole.log)
         prefix = run_trace(spec, conf, events[:k])
-        cfg = prefix
-        for ev in events[k:]:
-            cfg = monitor_step(spec, cfg, conf, ev)
-        assert cfg == whole
+        final, rest = _fold(spec, conf, prefix.final, events[k:])
+        assert (final, prefix.log + rest) == (whole.final, whole.log)
         # monitor_step left the configurations it was given unchanged.
+        assert start == initial_monitor(spec)
         assert prefix == run_trace(spec, conf, events[:k])
+
+    def test_fold_grows_linearly(self, receiver):
+        # Each step costs the same however many came before it: eight times
+        # the events take about eight times as long, and a step that copied
+        # the log so far would take about 30 times as long.
+        run = run_abp(AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1),
+                                rounds=6000, ack_prob=0.7))
+        events = run.traces["receiver"]
+        assert len(events) >= 16_000
+        conf = MonitorConfig(error_bound=0.05, warmup=20)
+
+        def best_of_3(count):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                _fold(receiver, conf, initial_monitor(receiver), events[:count])
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(2_000), best_of_3(16_000)
+        assert large <= 16 * small, (small, large)
 
 
 class TestJsonl:

@@ -587,7 +587,7 @@ class TestCompileOnce:
         conf = MonitorConfig(warmup=0)
         cfg = initial_monitor(spec)
         for i, ev in enumerate(_chain_events(1600)[:200], start=1):
-            cfg = monitor_step(spec, cfg, conf, ev)
+            cfg, _ = monitor_step(spec, cfg, conf, ev)
             assert len(compiled) == i
 
     def test_run_trace_compiles_each_pair_at_most_once(self, compiled):
@@ -596,6 +596,6 @@ class TestCompileOnce:
         result = run_trace(spec, MonitorConfig(warmup=0), events)
         assert len(compiled) == len(set(compiled))
         assert len(compiled) == 1600 + 1 + 1600 + 1  # fwd and back at each state, nope at both ends
-        assert result.state == "C0"
-        assert result.store.vars == {"hops": 1600 + 50}
+        assert result.final.state == "C0"
+        assert result.final.store.vars == {"hops": 1600 + 50}
         assert sum(e.verdict == "illegal" for e in result.log) == 2

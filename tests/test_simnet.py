@@ -99,13 +99,14 @@ class TestAbp:
         run = run_abp(AbpConfig(net=NetConfig(seed=2), rounds=40))
         receiver = specs.load("receiver")
         conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(receiver)
+        cfg, log = initial_monitor(receiver), []
         for ev in run.traces["receiver"]:
-            cfg = monitor_step(receiver, cfg, conf, ev)
+            cfg, entries = monitor_step(receiver, cfg, conf, ev)
+            log += entries
             monitored = cfg.n.get("R1", 0)
             if monitored and monitored % 2 == 0:
                 assert cfg.p[("R1", "msg")] == cfg.p[("R1", "ack")]
-        for i, entry in enumerate(cfg.log):
+        for i, entry in enumerate(log):
             assert abs(entry.observed - 0.5) <= 1 / (i + 1) + 1e-12
 
 
@@ -362,7 +363,8 @@ class TestReplayGrid:
         for p in participants:
             result = run_trace(p.spec, MonitorConfig(), run.traces[p.name])
             assert [e for e in result.log if e.verdict == VERDICT_ILLEGAL] == [], (cfg, p.name)
-            assert (result.state, scope_of(result.store)) == (p.state, p.scope), (cfg, p.name)
+            final = result.final
+            assert (final.state, scope_of(final.store)) == (p.state, p.scope), (cfg, p.name)
         return 0
 
     def test_abp(self, participants):
