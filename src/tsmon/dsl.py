@@ -33,17 +33,17 @@ its own recursion stays within the interpreter's stack, an expression may
 nest at most :data:`~tsmon.model.MAX_EXPR_DEPTH` levels, counting each
 parenthesis and each operator on the path from its root to a leaf.
 
-A token's position stays a character offset until a span is needed: only
-the spans the model keeps (state names and branches) and the span of a
-:class:`ParseError` are worked out, by bisecting the offsets at which lines
-begin.
+Tokens are plain ``(type, text, offset)`` tuples, one regex match each, and
+a position stays a character offset until a span is needed: only the spans
+the model keeps (state names and branches) and the span of a
+:class:`ParseError` are worked out, by bisecting the offsets of line starts.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import Callable, NamedTuple, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .model import (
     ActionSignature,
@@ -91,18 +91,20 @@ _BUILTIN_TYPES = ("unit", "boolean")
 _PREC = {"+": 1, "-": 1, "*": 2}
 _TIGHTEST = max(_PREC.values())
 
-# One alternative per token class, tried in order.  Multi-character operators
-# come first so the longest one wins; explicit ASCII classes keep non-ASCII
-# letters and digits out of identifiers and numbers.  ``1.`` is an int followed
-# by an unexpected ``.``.  Any other character matches ``error``.
+# One match per token: the whitespace and comments before a token are a prefix
+# of its match, and the match of the empty ``eof`` at the end of the text takes
+# the trailing ones.  The token alternatives are tried in order.  Multi-character
+# operators come first so the longest one wins; explicit ASCII classes keep
+# non-ASCII letters and digits out of identifiers and numbers.  ``1.`` is an
+# int followed by an unexpected ``.``.  Any other character matches ``error``.
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r\n]+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?:[ \t\r\n]+|(?P<comment>//[^\n]*))*"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<float>[0-9]+\.[0-9]+)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<punct>:=|==|!=|<=|>=|&&|[{}\[\]()<>+\-*,;:=!?])"
-    r"|(?P<error>.)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<error>.))"
 )
 
 
@@ -119,10 +121,10 @@ class ParseError(Exception):
         self.span = span
 
 
-class _Token(NamedTuple):
-    type: str  # "ident", "int", "float", "eof", or a punctuation literal
-    text: str
-    offset: int  # of the first character in the source text
+# A token is a ``(type, text, offset)`` tuple.  The type is "ident", "int",
+# "float", "eof" or a punctuation literal; the offset is that of the token's
+# first character in the source text.
+_Token = tuple[str, str, int]
 
 
 def _line_starts(text: str) -> list[int]:
@@ -138,25 +140,22 @@ def _span(line_starts: list[int], offset: int, length: int) -> SourceSpan:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    end = len(text)
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "comment":
+        word = m[kind]
+        start = m.start(kind)
+        # Punctuation and a bare ``_`` are typed by their own text.
+        if kind == "punct" or word == "_":
+            kind = word
+        elif kind == "eof":
             # A trailing comment does not move the end-of-input offset.
-            if m.end() == len(text):
-                end = m.start()
+            if m.end("comment") == start:
+                start = m.start("comment")
+            tokens.append((kind, word, start))
+            break  # else ``finditer`` matches the empty end once more
         elif kind == "error":
-            span = _span(_line_starts(text), m.start(), 1)
-            raise ParseError("syntax", f"unexpected character {m.group()!r}", span)
-        else:
-            word = m.group()
-            # Punctuation and a bare ``_`` are typed by their own text.
-            if kind == "punct" or word == "_":
-                kind = word
-            tokens.append(_Token(kind, word, m.start()))
-    tokens.append(_Token("eof", "", end))
+            raise ParseError("syntax", f"unexpected character {word!r}", _span(_line_starts(text), start, 1))
+        tokens.append((kind, word, start))
     return tokens
 
 
@@ -181,53 +180,52 @@ class _Parser:
         self.uses: dict[tuple[str, str, str], list[_Token]] = {}
 
     # -- token plumbing ----------------------------------------------------
+    # The rules most tokens pass through read ``self.tokens[self.pos]`` and
+    # move ``self.pos`` themselves, without a method call per token.
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, ttype: str) -> bool:
-        return self.tokens[self.pos].type == ttype
-
     def span(self, tok: _Token) -> SourceSpan:
-        return _span(self.line_starts, tok.offset, len(tok.text))
+        _, text, offset = tok
+        return _span(self.line_starts, offset, len(text))
 
     def syntax(self, what: str, tok: _Token) -> ParseError:
-        return ParseError("syntax", f"expected {what}, found {tok.text or 'end of input'!r}", self.span(tok))
+        return ParseError("syntax", f"expected {what}, found {tok[1] or 'end of input'!r}", self.span(tok))
 
     def expect(self, ttype: str, what: Optional[str] = None) -> _Token:
         """The next token, which must be of ``ttype``; ``what`` names it in
         the error, by default the quoted ``ttype``."""
-        if not self.at(ttype):
-            raise self.syntax(what or repr(ttype), self.peek())
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok[0] != ttype:
+            raise self.syntax(what or repr(ttype), tok)
+        self.pos += 1
+        return tok
 
     def expect_ident(self, what: str, keywords: tuple[str, ...] = ()) -> _Token:
         """The next token, which must be an identifier: a name, or one of
         ``keywords``."""
-        tok = self.peek()
-        if tok.type != "ident" or (tok.text in _KEYWORDS and tok.text not in keywords):
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident" or (tok[1] in _KEYWORDS and tok[1] not in keywords):
             raise self.syntax(what, tok)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def parse_list(self, item: Callable[[], _T], sep: str = ",", close: Optional[str] = None) -> list[_T]:
         """``item (sep item)*``, or no item at all when ``close`` is next."""
-        if close is not None and self.at(close):
+        tokens = self.tokens
+        if tokens[self.pos][0] == close:
             return []
         items = [item()]
-        while self.at(sep):
-            self.advance()
+        while tokens[self.pos][0] == sep:
+            self.pos += 1
             items.append(item())
         return items
 
     # -- locating model errors -----------------------------------------------
 
     def note(self, role: str, tok: _Token, scope: str = "") -> None:
-        self.uses.setdefault((role, scope, tok.text), []).append(tok)
+        self.uses.setdefault((role, scope, tok[1]), []).append(tok)
 
     def located(self, err: StructureError, toks: list[_Token]) -> ParseError:
         """``err`` at its token.  ``toks`` are the occurrences of the
@@ -247,11 +245,11 @@ class _Parser:
             "enum": self.parse_enum,
             "state": self.parse_state,
         }
-        while not self.at("eof"):
-            tok = self.peek()
-            if tok.type != "ident" or tok.text not in parsers:
+        while (tok := self.peek())[0] != "eof":
+            if tok[0] != "ident" or tok[1] not in parsers:
                 raise self.syntax("a declaration", tok)
-            self.decl = self.advance().text
+            self.pos += 1
+            self.decl = tok[1]
             parsers[self.decl]()
         if not self.states:
             raise ParseError("syntax", "no states declared", self.span(self.peek()))
@@ -271,22 +269,22 @@ class _Parser:
     def declare(self, kind: str, name: _Token, table: dict) -> None:
         # A dict holds one declaration per name, so the parser checks this
         # rule itself; a const and a var of one name are the model's to reject.
-        if name.text in table:
-            raise ParseError("duplicate", f"{kind} {name.text!r} is already declared", self.span(name))
+        if name[1] in table:
+            raise ParseError("duplicate", f"{kind} {name[1]!r} is already declared", self.span(name))
 
     def parse_const(self) -> None:
         name = self.expect_ident("constant name")
         self.declare("const", name, self.consts)
         self.note("declaration", name)
         self.expect("=")
-        self.consts[name.text] = self.parse_int()
+        self.consts[name[1]] = self.parse_int()
 
     def parse_var(self) -> None:
         name = self.expect_ident("variable name")
         self.declare("var", name, self.vars)
         self.note("declaration", name)
         self.expect("=")
-        self.vars[name.text] = self.parse_expr()[0]
+        self.vars[name[1]] = self.parse_expr()[0]
 
     def parse_assign(self) -> None:
         key = self.expect_ident("assignment key")
@@ -296,14 +294,14 @@ class _Parser:
         self.note("variable", target)
         self.expect(":=")
         expr = self.parse_expr()[0]
-        self.assigns[key.text] = Assignment(target=target.text, expr=expr)
+        self.assigns[key[1]] = Assignment(target=target[1], expr=expr)
 
     def parse_pred(self) -> None:
         key = self.expect_ident("predicate key")
         self.declare("pred", key, self.preds)
         self.expect(":")
         clauses = self.parse_list(self.parse_comparison, sep="&&")
-        self.preds[key.text] = Predicate(clauses=tuple(clauses))
+        self.preds[key[1]] = Predicate(clauses=tuple(clauses))
 
     def parse_enum(self) -> None:
         name = self.expect_ident("enum name")
@@ -312,26 +310,30 @@ class _Parser:
         labels = self.parse_list(lambda: self.expect_ident("enum label"))
         self.expect("}")
         for tok in labels:
-            self.note("label", tok, scope=name.text)
-        self.enums[name.text] = tuple(t.text for t in labels)
+            self.note("label", tok, scope=name[1])
+        self.enums[name[1]] = tuple(t[1] for t in labels)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_comparison(self) -> Comparison:
         left = self.parse_expr()[0]
         tok = self.peek()
-        if tok.type not in ("==", "!=", "<", "<=", ">", ">=", "="):
+        if tok[0] not in ("==", "!=", "<", "<=", ">", ">=", "="):
             raise self.syntax("a comparison operator", tok)
-        self.advance()
+        self.pos += 1
         right = self.parse_expr()[0]
-        return Comparison(op="==" if tok.type == "=" else tok.type, left=left, right=right)
+        return Comparison(op="==" if tok[0] == "=" else tok[0], left=left, right=right)
 
     def parse_int(self) -> int:
         """An integer literal, optionally negated."""
-        negate = self.at("-")
+        negate = self.peek()[0] == "-"
         if negate:
-            self.advance()
-        value = int(self.expect("int", "integer literal").text)
+            self.pos += 1
+        tok = self.expect("int", "integer literal")
+        try:
+            value = int(tok[1])
+        except ValueError:  # more digits than ``int`` converts
+            raise ParseError("range", "integer literal too long", self.span(tok)) from None
         return -value if negate else value
 
     # Each expression parser returns the expression with its depth: the
@@ -350,27 +352,27 @@ class _Parser:
         if prec > _TIGHTEST:
             return self.parse_factor(nest)
         left, depth = self.parse_expr(nest, prec + 1)
-        while _PREC.get(self.peek().type) == prec:
-            op = self.advance()
+        while _PREC.get((op := self.peek())[0]) == prec:
+            self.pos += 1
             right, right_depth = self.parse_expr(nest, prec + 1)
-            left = BinOp(op=op.type, left=left, right=right)
+            left = BinOp(op=op[0], left=left, right=right)
             depth = self.check_depth(1 + max(depth, right_depth), op)
         return left, depth
 
     def parse_factor(self, nest: int) -> tuple[Expr, int]:
         tok = self.peek()
-        if tok.type in ("int", "-"):
+        if tok[0] in ("int", "-"):
             return IntLit(self.parse_int()), nest
-        if tok.type == "(":
-            self.advance()
+        if tok[0] == "(":
+            self.pos += 1
             inner = self.parse_expr(self.check_depth(nest + 1, tok))
             self.expect(")")
             return inner
-        if tok.type == "ident" and tok.text not in _KEYWORDS:
-            self.advance()
+        if tok[0] == "ident" and tok[1] not in _KEYWORDS:
+            self.pos += 1
             # An initializer may only use constants; other expressions also variables.
             self.note("constant" if self.decl == "var" else "name", tok)
-            return Name(tok.text), nest
+            return Name(tok[1]), nest
         raise self.syntax("an expression", tok)
 
     # -- states --------------------------------------------------------------
@@ -379,39 +381,39 @@ class _Parser:
         name = self.expect_ident("state name")
         self.declare("state", name, self.states)
         self.expect("=")
-        if self.peek().text == "end":
-            self.advance()
+        if self.peek()[1] == "end":
+            self.pos += 1
             body = StateBody()
         else:
             first, branches = self.parse_session()
-            sessions = {first.type: branches}
-            if self.at("+"):
-                self.advance()
+            sessions = {first[0]: branches}
+            if self.peek()[0] == "+":
+                self.pos += 1
                 second, branches = self.parse_session()
-                if second.type == first.type:
+                if second[0] == first[0]:
                     raise ParseError(
                         "syntax",
                         "a mixed session combines one input and one output session",
                         self.span(second),
                     )
-                sessions[second.type] = branches
+                sessions[second[0]] = branches
             in_branches, out_branches = sessions.get("?", ()), sessions.get("!", ())
             try:
                 body = StateBody(in_branches=in_branches, out_branches=out_branches)
             except StructureError as err:  # a repeated action, at its second branch
                 spans = [b.span for b in in_branches + out_branches if b.action.name == err.name]
                 raise ParseError(err.kind, str(err), spans[1]) from None
-        self.states[name.text] = body
-        self.state_spans[name.text] = self.span(name)
+        self.states[name[1]] = body
+        self.state_spans[name[1]] = self.span(name)
 
     def parse_session(self) -> tuple[_Token, tuple[Branch, ...]]:
         """The session's ``!`` or ``?`` and its branches."""
         marker = self.peek()
-        if marker.type not in ("!", "?"):
+        if marker[0] not in ("!", "?"):
             raise self.syntax("'!{' or '?{'", marker)
-        self.advance()
+        self.pos += 1
         self.expect("{")
-        if self.at("}"):
+        if self.peek()[0] == "}":
             raise ParseError(
                 "syntax", "empty session; write 'end' for a terminal state", self.span(self.peek())
             )
@@ -421,28 +423,33 @@ class _Parser:
 
     def parse_type(self) -> TypeRef:
         tok = self.expect_ident("a type", keywords=_BUILTIN_TYPES)
-        if tok.text in _BUILTIN_TYPES:
-            return TypeRef(tok.text)
+        if tok[1] in _BUILTIN_TYPES:
+            return TypeRef(tok[1])
         self.note("enum", tok)
-        return TypeRef("enum", tok.text)
+        return TypeRef("enum", tok[1])
 
     def parse_branch(self) -> Branch:
+        tokens = self.tokens
         rtype = self.parse_type()
         name = self.expect_ident("action name")
         self.expect("(")
         params = self.parse_list(
-            lambda: self.expect_ident("a parameter type", keywords=_BUILTIN_TYPES).text,
+            lambda: self.expect_ident("a parameter type", keywords=_BUILTIN_TYPES)[1],
             close=")",
         )
         self.expect(")")
         ratio: Optional[float] = None
-        ratio_tok = self.peek()
+        ratio_tok = tokens[self.pos]
         pre: tuple[str, ...] = ()
         preds: tuple[str, ...] = ()
-        if self.at("["):
-            self.advance()
-            ratio_tok = self.peek()
-            ratio = self.parse_ratio()
+        if ratio_tok[0] == "[":
+            self.pos += 1
+            ratio_tok = tokens[self.pos]
+            if ratio_tok[0] not in ("_", "int", "float"):
+                raise self.syntax("a ratio or '_'", ratio_tok)
+            self.pos += 1
+            if ratio_tok[0] != "_":
+                ratio = float(ratio_tok[1])
             self.expect(";")
             pre = self.parse_key_list("assign")
             self.expect(";")
@@ -451,11 +458,11 @@ class _Parser:
         self.expect(":")
         dest = self.parse_dest()
         post: tuple[str, ...] = ()
-        if self.at("["):
+        if tokens[self.pos][0] == "[":
             post = self.parse_key_list("assign")
         try:
             return Branch(
-                action=ActionSignature(name.text, tuple(params), rtype),
+                action=ActionSignature(name[1], tuple(params), rtype),
                 ratio=ratio,
                 pre_assigns=pre,
                 preds=preds,
@@ -466,24 +473,17 @@ class _Parser:
         except StructureError as err:  # a ratio outside [0, 1]
             raise self.located(err, [ratio_tok]) from None
 
-    def parse_ratio(self) -> Optional[float]:
-        tok = self.peek()
-        if tok.type not in ("_", "int", "float"):
-            raise self.syntax("a ratio or '_'", tok)
-        self.advance()
-        return None if tok.type == "_" else float(tok.text)
-
     def parse_key_list(self, kind: str) -> tuple[str, ...]:
         self.expect("[")
         keys = self.parse_list(lambda: self.expect_ident(f"{kind} key"), close="]")
         self.expect("]")
         for tok in keys:
             self.note(kind, tok)
-        return tuple(tok.text for tok in keys)
+        return tuple(tok[1] for tok in keys)
 
     def parse_dest(self) -> Destination:
-        if self.at("<"):
-            self.advance()
+        if self.tokens[self.pos][0] == "<":
+            self.pos += 1
             cases = self.parse_list(self.parse_case)
             self.expect(">")
             try:
@@ -492,16 +492,15 @@ class _Parser:
                 raise self.located(
                     err, [tok for o, _, tok in cases if outcome_text(o) == err.name]
                 ) from None
-        tok = self.expect_ident("a destination state or '<'")
-        return PlainDest(state=tok.text)
+        return PlainDest(state=self.expect_ident("a destination state or '<'")[1])
 
     def parse_case(self) -> tuple[Value, str, _Token]:
         """An outcome, its state and the outcome's token."""
         tok = self.expect_ident("a decision outcome", keywords=("true", "false"))
-        outcome: Value = {"true": True, "false": False}.get(tok.text, tok.text)
+        outcome: Value = {"true": True, "false": False}.get(tok[1], tok[1])
         self.expect(":")
         state = self.expect_ident("a destination state")
-        return outcome, state.text, tok
+        return outcome, state[1], tok
 
 
 def parse_protocol(text: str) -> ProtocolSpec:

@@ -249,9 +249,9 @@ def _pieces(text: str) -> tuple[list[tuple[str, str]], str]:
     """(gap, token) pairs that join back into ``text``, and the text after
     the last token."""
     pieces, end = [], 0
-    for tok in _lex(text)[:-1]:
-        pieces.append((text[end : tok.offset], tok.text))
-        end = tok.offset + len(tok.text)
+    for _, word, offset in _lex(text)[:-1]:
+        pieces.append((text[end:offset], word))
+        end = offset + len(word)
     return pieces, text[end:]
 
 

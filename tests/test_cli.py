@@ -79,6 +79,14 @@ class TestValidate:
         assert "parse error (range)" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("decl", ["const n = ", "var n = "])
+    def test_huge_integer_literal_is_a_range_error(self, runner, tmp_path, decl):
+        spec = tmp_path / "huge.tsp"
+        spec.write_text(decl + "1" + "0" * 5000 + "\nstate S = end\n")
+        result = invoke(runner, ["validate", str(spec)])
+        assert result.exit_code == 3
+        assert f"huge.tsp:1:{len(decl) + 1}: integer literal too long" in result.stderr
+        assert "parse error (range)" in result.stderr
 
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -1,14 +1,18 @@
 """Parsing, diagnostics, and round-trip stability of the .tsp format."""
 
+import re
+import time
+from typing import NamedTuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsmon import specs
-from tsmon.dsl import ParseError, _lex, parse_protocol, serialize_protocol
+from tsmon.dsl import ParseError, _lex, _line_starts, _span, parse_protocol, serialize_protocol
 from tsmon.model import DecisionDest, PlainDest, SourceSpan
 
-from specgen import mutated_bundled_spec, random_wellformed_spec
+from specgen import chain_spec, mutated_bundled_spec, random_wellformed_spec
 
 
 class TestParsing:
@@ -203,6 +207,14 @@ class TestErrors:
         assert err.kind == "range"
         assert (err.span.line, err.span.column) == (2, len(assign) + 2)
 
+    @pytest.mark.parametrize("decl", ["const n = ", "var n = -", "var n = 2 * "])
+    def test_huge_integer_literal_is_a_range_error(self, decl):
+        # More digits than ``int`` converts from text, at the literal.
+        digits = "1" + "0" * 5000
+        err = _error(f"{decl}{digits}\nstate S = end\n")
+        assert (err.kind, err.message) == ("range", "integer literal too long")
+        assert err.span == SourceSpan(1, len(decl) + 1, len(digits))
+
     def test_spans_point_into_source(self):
         text = "state S = !{ unit m() [2.0; []; []] : S [] }\n"
         err = _error(text)
@@ -238,6 +250,18 @@ _SEPARATORS = st.sampled_from([" ", "\t", "\r", "\n", " \t", " // note\n"])
 # Characters outside the token alphabet; ``.`` is one unless it sits between
 # digits, and the non-ASCII letter and digit are not identifier characters.
 _FOREIGN = st.sampled_from([".", "\u00e9", "\f", "\u0663", "@", "#"])
+# Pieces of text that lex apart or run together, for comparing two lexers:
+# comments (one holding another ``//``), every whitespace character the lexer
+# skips and one it rejects, non-ASCII letters and digits, ``1.``, ``_`` and a
+# lone ``/``.  The empty list makes the empty input, and a comment drawn last
+# is a trailing comment.
+_LEXER_PIECES = st.one_of(
+    st.sampled_from(
+        ["// c", "// a // b", "//", "/", " ", "\t", "\r\n", "\n", "\r", "\f", "_", "1.", "."]
+    ),
+    st.sampled_from(["\u00e9", "\u0663", "\u00e9t\u00e9", "x\u00e9"]),
+    _TOKEN_PIECES,
+)
 
 
 @st.composite
@@ -262,6 +286,61 @@ def _offset(text, span):
     return line_start + span.column - 1
 
 
+# --------------------------------------------------------------------------
+# Differential check against the regex lexer that made one match per token,
+# whitespace run and comment, kept here verbatim as an oracle.
+# --------------------------------------------------------------------------
+
+_OLD_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<float>[0-9]+\.[0-9]+)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<punct>:=|==|!=|<=|>=|&&|[{}\[\]()<>+\-*,;:=!?])"
+    r"|(?P<error>.)"
+)
+
+
+class _OldToken(NamedTuple):
+    type: str  # "ident", "int", "float", "eof", or a punctuation literal
+    text: str
+    offset: int  # of the first character in the source text
+
+
+def _old_lex(text: str) -> list[_OldToken]:
+    tokens: list[_OldToken] = []
+    end = len(text)
+    for m in _OLD_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "comment":
+            # A trailing comment does not move the end-of-input offset.
+            if m.end() == len(text):
+                end = m.start()
+        elif kind == "error":
+            span = _span(_line_starts(text), m.start(), 1)
+            raise ParseError("syntax", f"unexpected character {m.group()!r}", span)
+        else:
+            word = m.group()
+            # Punctuation and a bare ``_`` are typed by their own text.
+            if kind == "punct" or word == "_":
+                kind = word
+            tokens.append(_OldToken(kind, word, m.start()))
+    tokens.append(_OldToken("eof", "", end))
+    return tokens
+
+
+def _lexed(lex, text):
+    """The ``(type, text, offset)`` tokens ``lex`` makes of ``text``, or the
+    kind, message and span of the error it raises."""
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except ParseError as err:
+        return err.kind, err.message, err.span
+
+
 class TestLexer:
     @settings(max_examples=200, deadline=None)
     @given(_tokenish())
@@ -275,10 +354,10 @@ class TestLexer:
             assert _offset(text, info.value.span) == first_foreign
             return
         tokens = _lex(text)
-        assert tokens[-1].type == "eof"
-        assert [t.text for t in tokens[:-1]] == words
-        for tok in tokens[:-1]:
-            assert text[tok.offset : tok.offset + len(tok.text)] == tok.text
+        assert tokens[-1][0] == "eof"
+        assert [word for _, word, _ in tokens[:-1]] == words
+        for _, word, offset in tokens[:-1]:
+            assert text[offset : offset + len(word)] == word
 
     def test_int_then_dot_is_an_error_at_the_dot(self):
         with pytest.raises(ParseError) as info:
@@ -286,9 +365,19 @@ class TestLexer:
         assert info.value.span == SourceSpan(1, 4, 1)
 
     def test_comment_does_not_advance_the_column(self):
-        assert _lex("ab // c")[-1].offset == 3
-        assert _lex("ab // c\n")[-1].offset == 8
+        assert _lex("ab // c")[-1] == ("eof", "", 3)
+        assert _lex("ab // c\n")[-1] == ("eof", "", 8)
         assert _error("state S = ?{ unit m() // c").span == SourceSpan(1, 23, 0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_LEXER_PIECES, max_size=12).map("".join))
+    @example("")
+    @example("a // x")
+    @example("a // a // b")
+    @example("x\r\n1. _")
+    @example("\u00e9\f")
+    def test_same_tokens_and_errors_as_the_old_lexer(self, text):
+        assert _lexed(_lex, text) == _lexed(_old_lex, text)
 
 
 class TestRoundTrip:
@@ -322,3 +411,20 @@ class TestRoundTrip:
         spec = random_wellformed_spec(seed)
         text = serialize_protocol(spec)
         assert serialize_protocol(parse_protocol(text)) == text
+
+
+class TestParseGrowth:
+    def test_parse_grows_linearly(self):
+        # Eight times the states take about eight times as long; a rule that
+        # rescanned the tokens or lines read so far would take about 64 times.
+        def best_of_3(n_states):
+            text = serialize_protocol(chain_spec(n_states))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                parse_protocol(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(200), best_of_3(1600)
+        assert large <= 16 * small, (small, large)
