@@ -91,6 +91,11 @@ _BUILTIN_TYPES = ("unit", "boolean")
 _PREC = {"+": 1, "-": 1, "*": 2}
 _TIGHTEST = max(_PREC.values())
 
+# The most digits an integer literal may have.  640 is the lowest limit on int
+# conversion that the interpreter accepts (``PYTHONINTMAXSTRDIGITS``), so a
+# literal converts, and prints in an overflow message, under any setting.
+_MAX_INT_DIGITS = 640
+
 # One match per token: the whitespace and comments before a token are a prefix
 # of its match, and the match of the empty ``eof`` at the end of the text takes
 # the trailing ones.  The token alternatives are tried in order.  Multi-character
@@ -330,10 +335,9 @@ class _Parser:
         if negate:
             self.pos += 1
         tok = self.expect("int", "integer literal")
-        try:
-            value = int(tok[1])
-        except ValueError:  # more digits than ``int`` converts
-            raise ParseError("range", "integer literal too long", self.span(tok)) from None
+        if len(tok[1]) > _MAX_INT_DIGITS:
+            raise ParseError("range", "integer literal too long", self.span(tok))
+        value = int(tok[1])
         return -value if negate else value
 
     # Each expression parser returns the expression with its depth: the

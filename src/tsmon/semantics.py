@@ -12,13 +12,12 @@ closures over a *scope*: one dict of the constants and variables by name.
 :func:`fire` executes a transition on a scope.  The monitor and the
 simulator look transitions up in a :class:`Transitions` table, which
 compiles each pair on first use, and carry the state and the scope
-themselves.  :func:`step`, :func:`eval_expr`, :func:`update` and
-:func:`eval_preds` compile what one call needs and run the same closures.
+themselves.  :func:`step` compiles the one transition a call takes and runs
+the same closures.
 
 Every literal, name read and operator result is checked against the int64
 range.  A literal is checked when compiled: one out of range compiles to a
-closure that raises the overflow when evaluated.  An unknown assignment or
-predicate key also raises only when it is reached.
+closure that raises the overflow when evaluated.
 """
 
 from __future__ import annotations
@@ -51,14 +50,11 @@ __all__ = [
     "Transitions",
     "VarStore",
     "compile_transition",
-    "eval_expr",
-    "eval_preds",
     "fire",
     "initial_config",
     "scope_of",
     "step",
     "store_of",
-    "update",
 ]
 
 INT64_MIN = -(1 << 63)
@@ -174,9 +170,7 @@ def _compile_expr(expr: Expr) -> Callable[[Scope], int]:
 def _compile_assign(
     key: str, assigns: Mapping[str, Assignment], variables: Container[str]
 ) -> Callable[[Scope], None]:
-    rule = assigns.get(key)
-    if rule is None:
-        return _raising(EvalError, f"unknown assignment key {key!r}")
+    rule = assigns[key]
     value, target = _compile_expr(rule.expr), rule.target
     if target not in variables:
 
@@ -193,9 +187,7 @@ def _compile_assign(
 
 
 def _compile_pred(key: str, preds: Mapping[str, Predicate]) -> Callable[[Scope], bool]:
-    pred = preds.get(key)
-    if pred is None:
-        return _raising(EvalError, f"unknown predicate key {key!r}")
+    pred = preds[key]
     clauses = [(_CMP[c.op], _compile_expr(c.left), _compile_expr(c.right)) for c in pred.clauses]
 
     def holds(scope: Scope) -> bool:
@@ -205,30 +197,6 @@ def _compile_pred(key: str, preds: Mapping[str, Predicate]) -> Callable[[Scope],
         return True
 
     return holds
-
-
-def eval_expr(expr: Expr, store: VarStore) -> int:
-    return _compile_expr(expr)(scope_of(store))
-
-
-def update(
-    keys: tuple[str, ...], store: VarStore, assigns: Mapping[str, Assignment]
-) -> VarStore:
-    """Apply the named assignments left to right; () returns the store as is."""
-    if not keys:
-        return store
-    scope = scope_of(store)
-    for key in keys:
-        _compile_assign(key, assigns, store.vars)(scope)
-    return store_of(scope, store)
-
-
-def eval_preds(
-    keys: tuple[str, ...], store: VarStore, preds: Mapping[str, Predicate]
-) -> bool:
-    """Conjunction of the named predicates; () evaluates to true."""
-    scope = scope_of(store)
-    return all(_compile_pred(key, preds)(scope) for key in keys)
 
 
 def initial_config(spec: ProtocolSpec) -> TInfo:

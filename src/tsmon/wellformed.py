@@ -29,7 +29,6 @@ __all__ = [
     "Diagnostic",
     "TransitionSet",
     "RATIO_TOLERANCE",
-    "RULE_DUPLICATE_STATE",
     "RULE_RATIO_SUM",
     "RULE_DECISIONS",
     "RULE_USEFUL_STATES",
@@ -52,7 +51,6 @@ __all__ = [
 # literals are not exactly representable in binary.
 RATIO_TOLERANCE = 1e-9
 
-RULE_DUPLICATE_STATE = "NO-DUPLICATE-STATE-NAME"
 RULE_RATIO_SUM = "VALID-RATIO-SUM"
 RULE_DECISIONS = "ENUMERATE-ALL-DECISIONS"
 RULE_USEFUL_STATES = "USEFUL-STATES"
@@ -85,22 +83,8 @@ class Diagnostic:
 
 
 Transition = tuple[str, str, Value, str]
-
-
-@dataclass(frozen=True)
-class TransitionSet:
-    """The relation Trs: tuples (state, action, value, next state)."""
-
-    tuples: frozenset[Transition]
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __contains__(self, item: Transition) -> bool:
-        return item in self.tuples
+# The relation Trs: tuples (state, action, value, next state).
+TransitionSet = frozenset[Transition]
 
 
 def _value_key(v: Value) -> str:
@@ -114,7 +98,7 @@ def _value_key(v: Value) -> str:
 
 
 def _sorted_tuples(trs: TransitionSet) -> list[Transition]:
-    return sorted(trs.tuples, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3]))
+    return sorted(trs, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3]))
 
 
 def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
@@ -172,7 +156,7 @@ def build_trs(spec: ProtocolSpec) -> TransitionSet:
             else:
                 for outcome, target in br.dest.cases:
                     tuples.add((state, br.action.name, outcome, target))
-    return TransitionSet(frozenset(tuples))
+    return frozenset(tuples)
 
 
 def is_reachable(state: str, trs: TransitionSet, start: str) -> bool:
@@ -183,7 +167,7 @@ def is_reachable(state: str, trs: TransitionSet, start: str) -> bool:
     frontier = [start]
     while frontier:
         src = frontier.pop()
-        for s, _m, _v, dst in trs.tuples:
+        for s, _m, _v, dst in trs:
             if s == src and dst not in visited:
                 if dst == state:
                     return True
@@ -195,7 +179,7 @@ def is_reachable(state: str, trs: TransitionSet, start: str) -> bool:
 def is_productive(state: str, trs: TransitionSet) -> bool:
     """True iff some terminal node (no outgoing tuples) is reachable from
     ``state``, or ``state`` itself is terminal."""
-    sources = {t[0] for t in trs.tuples}
+    sources = {t[0] for t in trs}
     visited = set()
     frontier = [state]
     while frontier:
@@ -205,7 +189,7 @@ def is_productive(state: str, trs: TransitionSet) -> bool:
         visited.add(node)
         if node not in sources:
             return True
-        for s, _m, _v, dst in trs.tuples:
+        for s, _m, _v, dst in trs:
             if s == node and dst not in visited:
                 frontier.append(dst)
     return False
@@ -237,7 +221,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
 
     succ: dict[str, set[str]] = {}
     pred: dict[str, set[str]] = {}
-    for src, _m, _v, dst in trs.tuples:
+    for src, _m, _v, dst in trs:
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
 
@@ -312,7 +296,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     )
                 )
 
-    keys = {t[:3] for t in trs.tuples}
+    keys = {t[:3] for t in trs}
     for state in ts.states:
         for action in sorted(actions_of(ts, state)):
             for value in sorted(decisions_of(ts, state, action), key=_value_key):

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tsmon
 from tsmon.cli import main
 from tsmon.monitor import write_trace
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
@@ -87,6 +92,34 @@ class TestValidate:
         assert result.exit_code == 3
         assert f"huge.tsp:1:{len(decl) + 1}: integer literal too long" in result.stderr
         assert "parse error (range)" in result.stderr
+
+    @pytest.mark.parametrize("limit", [None, "0", "640"])
+    def test_literal_digit_bound_ignores_int_conversion_limit(self, tmp_path, limit):
+        # 640 digits is the bound under any PYTHONINTMAXSTRDIGITS, which sets
+        # how many digits int() converts from text.
+        env = dict(os.environ)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        src = str(Path(tsmon.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        long = tmp_path / "long.tsp"
+        long.write_text("const n = 1" + "0" * 640 + "\nstate S = end\n")
+        wide = tmp_path / "wide.tsp"
+        wide.write_text("var n = 1" + "0" * 639 + "\nstate S = end\n")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "tsmon.cli", "validate", str(path)],
+                capture_output=True, text=True, env=env,
+            )
+            for path in (long, wide)
+        ]
+        assert runs[0].returncode == 3
+        assert "long.tsp:1:11: integer literal too long" in runs[0].stderr
+        assert runs[1].returncode == 2
+        [line] = runs[1].stderr.splitlines()
+        assert "wide.tsp: initial values: arithmetic overflow" in line
+        assert all("Traceback" not in run.stdout + run.stderr for run in runs)
 
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

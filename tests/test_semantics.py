@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 from tsmon import semantics, specs
 from tsmon.dsl import parse_protocol
 from tsmon.model import (
+    ActionSignature,
     Assignment,
     BinOp,
+    Branch,
     Comparison,
     DecisionDest,
+    InternalStateDecl,
     IntLit,
     Name,
     PlainDest,
     Predicate,
+    ProtocolSpec,
+    StateBody,
+    Typestate,
     decisions_of,
 )
 from tsmon.monitor import MonitorConfig, TraceEvent, initial_monitor, monitor_step, run_trace
@@ -30,11 +36,8 @@ from tsmon.semantics import (
     StepOutcome,
     TInfo,
     VarStore,
-    eval_expr,
-    eval_preds,
     initial_config,
     step,
-    update,
 )
 
 from specgen import chain_spec, overflow_prone_spec, random_stateful_spec
@@ -44,61 +47,69 @@ def store(values, consts=None):
     return VarStore(vars=dict(values), consts=dict(consts or {}))
 
 
-class TestUpdate:
-    def test_empty_sequence_is_identity(self, counting):
-        s = store({"acks": 3})
-        assert update((), s, counting.internal.assigns) is s
+def _step_m(decls, branch, values, consts=None):
+    """``step`` of ``m`` from state S and a store of ``values`` and ``consts``,
+    in the spec of ``decls`` where S offers ``unit m() branch``."""
+    spec = parse_protocol(f"{decls}\nstate S = ?{{ unit m() {branch} }}\nstate T = end\n")
+    return step(spec, TInfo("S", store(values, consts)), "m")
 
-    def test_single_increment(self, counting):
-        s = update(("A1",), store({"acks": 0}), counting.internal.assigns)
-        assert s.vars == {"acks": 1}
+
+_LEADER_DECLS = (
+    "const n = 2\nconst k = 5\nvar acks = 0\nvar retries = k\n"
+    "assign A1: acks := acks + 1\nassign A2: retries := retries - 1\n"
+    "assign A3: acks := 0\nassign A4: retries := k\n"
+    "pred P1: acks == n\npred P2: retries == 0"
+)
+
+
+class TestUpdate:
+    def test_empty_sequence_is_identity(self):
+        spec = parse_protocol("var x = 0\nstate S = ?{ unit m() : S }\n")
+        s = store({"x": 3})
+        assert step(spec, TInfo("S", s), "m").next.store is s
+
+    def test_single_increment(self):
+        out = _step_m("var x = 0\nassign A: x := x + 1", "[_; [A]; []] : T", {"x": 0})
+        assert out.next.store.vars == {"x": 1}
 
     def test_applies_left_to_right(self):
-        spec = parse_protocol(
-            "var x = 5\nassign F: x := 1\nassign G: x := x * 2\n"
-            "state S = ?{ unit m() [_; [F, G]; []] : S [] }\n"
-        )
-        s = update(("F", "G"), store({"x": 5}), spec.internal.assigns)
-        assert s.vars == {"x": 2}  # right-to-left would give 11
-
-    def test_unknown_key(self, counting):
-        with pytest.raises(EvalError):
-            update(("A9",), store({"acks": 0}), counting.internal.assigns)
+        decls = "var x = 5\nassign F: x := 1\nassign G: x := x * 2"
+        out = _step_m(decls, "[_; [F, G]; []] : T", {"x": 5})
+        assert out.next.store.vars == {"x": 2}  # right-to-left would give 11
 
     def test_overflow_reported(self):
-        spec = parse_protocol(
-            "var x = 1\nassign D: x := x * 2\n"
-            "state S = ?{ unit m() [_; [D]; []] : S [] }\n"
-        )
-        s = store({"x": INT64_MAX})
         with pytest.raises(EvalError, match="overflow"):
-            update(("D",), s, spec.internal.assigns)
+            _step_m("var x = 1\nassign D: x := x * 2", "[_; [D]; []] : T", {"x": INT64_MAX})
 
-    def test_consts_never_change(self, leader):
-        s = store({"acks": 0, "retries": 5}, {"n": 2, "k": 5})
-        out = update(("A1", "A2", "A3", "A4"), s, leader.internal.assigns)
-        assert out.consts == {"n": 2, "k": 5}
-        assert set(out.vars) == {"acks", "retries"}
+    def test_consts_never_change(self):
+        values, consts = {"acks": 0, "retries": 5}, {"n": 2, "k": 5}
+        out = _step_m(_LEADER_DECLS, "[_; [A1, A2]; []] : T [A3, A4]", values, consts)
+        assert out.next.store.consts == {"n": 2, "k": 5}
+        assert set(out.next.store.vars) == {"acks", "retries"}
 
 
 class TestEvalPreds:
-    def test_empty_sequence_is_true(self, counting):
-        assert eval_preds((), store({"acks": 0}), counting.internal.preds)
+    def test_empty_sequence_is_true(self):
+        out = _step_m("var x = 0\nassign A: x := x + 1", "[_; [A]; []] : T", {"x": 0})
+        assert out.triggered
+        assert out.next.state == "T"
 
-    def test_single_predicate(self, counting):
-        preds = counting.internal.preds
-        assert eval_preds(("P1",), store({"acks": 2}), preds)
-        assert not eval_preds(("P1",), store({"acks": 1}), preds)
+    def test_single_predicate(self):
+        decls = "var x = 0\npred P: x == 2"
+        assert _step_m(decls, "[_; []; [P]] : T", {"x": 2}).triggered
+        out = _step_m(decls, "[_; []; [P]] : T", {"x": 1})
+        assert not out.triggered
+        assert out.next.state == "S"
 
-    def test_conjunction_short_circuits_to_false(self, leader):
-        preds = leader.internal.preds
-        s = store({"acks": 2, "retries": 3}, {"n": 2, "k": 5})
-        assert eval_preds(("P1",), s, preds)
-        assert not eval_preds(("P1", "P2"), s, preds)
+    def test_conjunction_short_circuits_to_false(self):
+        values, consts = {"acks": 2, "retries": 3}, {"n": 2, "k": 5}
+        assert _step_m(_LEADER_DECLS, "[_; []; [P1]] : T", values, consts).triggered
+        assert not _step_m(_LEADER_DECLS, "[_; []; [P1, P2]] : T", values, consts).triggered
 
-    def test_reads_constants(self, leader):
-        s = store({"acks": 2, "retries": 0}, {"n": 2, "k": 5})
-        assert eval_preds(("P1", "P2"), s, leader.internal.preds)
+    def test_reads_constants(self):
+        values = {"acks": 2, "retries": 0}
+        assert _step_m(_LEADER_DECLS, "[_; []; [P1, P2]] : T", values, {"n": 2, "k": 5}).triggered
+        assert not _step_m(_LEADER_DECLS, "[_; []; [P1, P2]] : T", values, {"n": 3, "k": 5}).triggered
 
 
 class TestInitialConfig:
@@ -431,10 +442,8 @@ _WRONG_VALUES = [None, True, False, 1, 0, 1.0, "c0", []]
 
 def _differential_walk(spec, store, choose, steps):
     """Walk ``spec`` from ``store`` along actions and values picked by
-    ``choose``; at every step the compiled ``step``, ``update`` and
-    ``eval_preds`` must give what the oracle gives.  Returns the kinds of
-    step seen."""
-    internal = spec.internal
+    ``choose``; at every step the compiled ``step`` must give what the
+    oracle gives.  Returns the kinds of step seen."""
     cfg = TInfo(spec.typestate.start, store)
     seen = set()
     for _ in range(steps):
@@ -449,14 +458,6 @@ def _differential_walk(spec, store, choose, steps):
         want = _result(_old_step, spec, cfg, action, value)
         assert _result(step, spec, cfg, action, value) == want, (cfg, action, value)
         seen.add(_kind(spec, cfg, action, value))
-        keys = tuple(choose(sorted(internal.assigns) + ["A9"]) for _ in range(choose([0, 1, 2])))
-        assert _result(update, keys, cfg.store, internal.assigns) == _result(
-            _old_update, keys, cfg.store, internal.assigns
-        )
-        keys = tuple(choose(sorted(internal.preds) + ["P9"]) for _ in range(choose([0, 1, 2])))
-        assert _result(eval_preds, keys, cfg.store, internal.preds) == _result(
-            _old_eval_preds, keys, cfg.store, internal.preds
-        )
         if want[0] == "ok":
             cfg = want[1].next
     return seen
@@ -506,6 +507,16 @@ class TestCompiledMatchesTreeWalker:
         # x is both a variable and a constant, y is out of range, z is not
         # a variable and c only a constant.
         store = VarStore({"x": INT64_MAX, "y": INT64_MAX + 1}, {"c": 2, "x": 0})
+        cfg = TInfo("S", store)
+
+        def check(assigns=None, pre=(), preds=None, keys=()):
+            # Every name is declared a variable, so that a spec carries it.
+            names = {name: IntLit(0) for name in ("x", "y", "z", "c", "nope")}
+            internal = InternalStateDecl(vars=names, assigns=assigns or {}, preds=preds or {})
+            branch = Branch(ActionSignature("m"), None, pre, keys, PlainDest("S"))
+            spec = ProtocolSpec(Typestate({"S": StateBody(in_branches=(branch,))}), internal)
+            assert _result(step, spec, cfg, "m") == _result(_old_step, spec, cfg, "m")
+
         for expr in (
             IntLit(INT64_MIN - 1),
             Name("x"),
@@ -517,7 +528,7 @@ class TestCompiledMatchesTreeWalker:
             BinOp("*", Name("c"), BinOp("-", Name("x"), IntLit(1))),
             BinOp("*", IntLit(INT64_MIN), IntLit(-1)),
         ):
-            assert _result(eval_expr, expr, store) == _result(_old_eval_expr, expr, store)
+            check(assigns={"E": Assignment("x", expr)}, pre=("E",))
         assigns = {
             "up": Assignment("x", BinOp("+", Name("x"), IntLit(1))),
             "down": Assignment("x", BinOp("-", Name("x"), Name("c"))),
@@ -526,16 +537,15 @@ class TestCompiledMatchesTreeWalker:
             "z_overflow": Assignment("z", Name("y")),
         }
         for keys in [
-            ("down", "down"), ("down", "up"), ("up", "nope"), ("nope", "up"),
-            ("down", "const"), ("z",), ("z_overflow",), ("down", "z"),
+            ("down", "down"), ("down", "up"), ("down", "const"), ("z",), ("z_overflow",), ("down", "z"),
         ]:
-            assert _result(update, keys, store, assigns) == _result(_old_update, keys, store, assigns)
+            check(assigns=assigns, pre=keys)
         preds = {
             "above": Predicate((Comparison(">", Name("x"), Name("c")),)),
             "below": Predicate((Comparison("<", Name("x"), IntLit(0)), Comparison("==", Name("y"), IntLit(0)))),
         }
-        for keys in [("above",), ("below", "nope"), ("nope", "below"), ("above", "below")]:
-            assert _result(eval_preds, keys, store, preds) == _result(_old_eval_preds, keys, store, preds)
+        for keys in [("above",), ("above", "below")]:
+            check(preds=preds, keys=keys)
         # The leader's rules on stores that lack a variable or hold it as a constant.
         for vars_, consts in [({"acks": 0}, {"n": 2, "k": 5}), ({"acks": 0}, {"retries": 3, "n": 2, "k": 5})]:
             cfg = TInfo("L1", VarStore(vars_, consts))

@@ -70,14 +70,14 @@ class TestCheckWellFormed:
 
 class TestBuildTrs:
     def test_abp_sender(self, sender):
-        assert build_trs(sender).tuples == {
+        assert build_trs(sender) == {
             ("S0", "msg", None, "S1"),
             ("S1", "msg", None, "S1"),
             ("S1", "ack", None, "S0"),
         }
 
     def test_authentication(self, auth):
-        assert build_trs(auth).tuples == {
+        assert build_trs(auth) == {
             ("Unauth", "login", "success", "Auth"),
             ("Unauth", "login", "failure", "Unauth"),
             ("Auth", "logoff", None, "Unauth"),
@@ -85,7 +85,7 @@ class TestBuildTrs:
 
     def test_empty_terminal_spec(self):
         spec = parse_protocol("state Done = end\n")
-        assert build_trs(spec).tuples == frozenset()
+        assert build_trs(spec) == frozenset()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tuple_counting_formula(self, seed):
@@ -132,7 +132,7 @@ class TestReachability:
         spec = random_wellformed_spec(seed)
         states = spec.typestate.states
         start = spec.typestate.start
-        full = sorted(build_trs(spec).tuples, key=repr)
+        full = sorted(build_trs(spec), key=repr)
         # A seeded subset of the tuples, sometimes plus one into an undeclared
         # state, leaves unreachable, unproductive, disconnected and dangling
         # nodes.
@@ -222,7 +222,7 @@ class TestTransitionRules:
 
     def test_plain_and_decision_coexisting(self, auth):
         trs = build_trs(auth)
-        extended = TransitionSet(trs.tuples | {("Unauth", "login", None, "Auth")})
+        extended = TransitionSet(trs | {("Unauth", "login", None, "Auth")})
         diags = check_transition_rules(auth, extended)
         rules = [d.rule for d in diags]
         assert RULE_DETERMINISTIC in rules
@@ -230,7 +230,7 @@ class TestTransitionRules:
 
     def test_missing_decision_tuple(self, auth):
         pruned = frozenset(
-            t for t in build_trs(auth).tuples if t[2] != "failure"
+            t for t in build_trs(auth) if t[2] != "failure"
         )
         diags = check_transition_rules(auth, TransitionSet(pruned))
         assert any(d.rule == RULE_DECISION_TOTALITY for d in diags)
@@ -238,7 +238,7 @@ class TestTransitionRules:
     @pytest.mark.parametrize("value", [1, "yes"])
     def test_tuple_with_foreign_outcome(self, ask, value):
         # 1 == True in Python, so only a type-exact match flags the first.
-        tuples = build_trs(ask).tuples - {("S0", "ask", True, "S1")}
+        tuples = build_trs(ask) - {("S0", "ask", True, "S1")}
         trs = TransitionSet(tuples | {("S0", "ask", value, "S1")})
         diags = check_transition_rules(ask, trs)
         assert any(d.rule == RULE_ENUMERABLE for d in diags)
@@ -257,7 +257,7 @@ class TestTransitionRules:
         assert any(d.rule == RULE_NON_ENUMERABLE for d in diags)
 
     def test_tuple_with_unknown_action(self, sender):
-        trs = TransitionSet(build_trs(sender).tuples | {("S0", "ghost", None, "S1")})
+        trs = TransitionSet(build_trs(sender) | {("S0", "ghost", None, "S1")})
         diags = check_transition_rules(sender, trs)
         assert any(d.rule == RULE_TRANSITION_SET for d in diags)
 
@@ -269,7 +269,7 @@ class TestTransitionRules:
             return
         states = list(spec.typestate.states)
         undirected = fixpoint_reachable(
-            trs.tuples | {(d, m, v, s) for s, m, v, d in trs.tuples},
+            trs | {(d, m, v, s) for s, m, v, d in trs},
             spec.typestate.start,
         )
         assert all(s in undirected for s in states)
