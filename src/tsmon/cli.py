@@ -7,6 +7,7 @@ output carries machine-readable results only; diagnostics go to stderr.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -15,13 +16,11 @@ from enum import IntEnum
 from pathlib import Path
 from typing import NoReturn, Optional
 
-import click
-
 from . import monitor as monitor_mod
 from . import semantics, simnet
 from .dsl import ParseError, parse_protocol
 from .model import ProtocolSpec
-from .wellformed import Diagnostic, build_trs, export_dot, validate
+from .wellformed import build_trs, export_dot, validate
 
 __all__ = ["ExitStatus", "main"]
 
@@ -34,11 +33,14 @@ class ExitStatus(IntEnum):
 
 
 def _fail(code: ExitStatus, message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(int(code))
 
 
-def _read_spec(path: str) -> ProtocolSpec:
+def _read_valid_spec(path: str) -> ProtocolSpec:
+    """Read a spec that must pass ``validate``.  Exit 2 when it cannot be
+    read, 3 when it does not parse, 1 with its diagnostics when it breaks a
+    rule, and 2 when an initial value leaves the int64 range."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -46,30 +48,16 @@ def _read_spec(path: str) -> ProtocolSpec:
     except UnicodeDecodeError as exc:
         _fail(ExitStatus.USAGE, f"cannot read {path}: {exc}")
     try:
-        return parse_protocol(text)
+        spec = parse_protocol(text)
     except ParseError as exc:
-        click.echo(
-            f"parse error ({exc.kind}): {path}:{exc.span.line}:{exc.span.column}: {exc.message}",
-            err=True,
-        )
+        where = f"{path}:{exc.span.line}:{exc.span.column}"
+        print(f"parse error ({exc.kind}): {where}: {exc.message}", file=sys.stderr)
         sys.exit(int(ExitStatus.PARSE))
-
-
-def _print_diagnostics(path: str, diags: list[Diagnostic]) -> None:
-    for d in diags:
-        line = d.span.line if d.span else 0
-        col = d.span.column if d.span else 0
-        click.echo(f"{d.rule} {path}:{line}:{col} {d.message()}", err=True)
-
-
-def _read_valid_spec(path: str) -> ProtocolSpec:
-    """Read a spec that must pass ``validate``; print its diagnostics and
-    exit 1 when it does not, and exit 2 when an initial value cannot be
-    evaluated (it leaves the int64 range)."""
-    spec = _read_spec(path)
     diags = validate(spec)
+    for d in diags:
+        line, col = (d.span.line, d.span.column) if d.span else (0, 0)
+        print(f"{d.rule} {path}:{line}:{col} {d.message()}", file=sys.stderr)
     if diags:
-        _print_diagnostics(path, diags)
         sys.exit(int(ExitStatus.FINDINGS))
     try:
         semantics.initial_config(spec)
@@ -78,110 +66,57 @@ def _read_valid_spec(path: str) -> ProtocolSpec:
     return spec
 
 
-@click.group()
-def main() -> None:
-    """Parse, validate, simulate and monitor probabilistic typestates."""
-
-
-@main.command(name="validate")
-@click.argument("spec_path", type=click.Path())
-def validate_cmd(spec_path: str) -> None:
+def validate_cmd(spec_path: str) -> ExitStatus:
     """Check a .tsp spec against all well-formedness and transition rules."""
     _read_valid_spec(spec_path)
-    sys.exit(int(ExitStatus.OK))
+    return ExitStatus.OK
 
 
-@main.command()
-@click.argument("spec_path", type=click.Path())
-@click.option("--dot", "dot_path", type=click.Path(), default=None, help="Write DOT here instead of stdout.")
-def graph(spec_path: str, dot_path: Optional[str]) -> None:
+def graph(spec_path: str, dot_path: Optional[str]) -> ExitStatus:
     """Export a validated spec's transition graph as Graphviz DOT."""
     spec = _read_valid_spec(spec_path)
     dot = export_dot(spec, build_trs(spec))
     if dot_path is None:
-        click.echo(dot, nl=False)
+        sys.stdout.write(dot)
     else:
         try:
             Path(dot_path).write_text(dot, encoding="utf-8")
         except OSError as exc:
             _fail(ExitStatus.USAGE, f"cannot write {dot_path}: {exc.strerror or exc}")
-    sys.exit(int(ExitStatus.OK))
+    return ExitStatus.OK
 
 
-def _resolve_seed(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("TSMON_SEED")
-    if env is not None:
+def simulate(
+    protocol: str, seed: Optional[int], drop: float, dup: float, rounds: int,
+    n_peers: int, retry_budget: int, ack_rate: float, out_dir: str,
+) -> ExitStatus:
+    """Run a protocol simulation and write per-participant JSONL traces."""
+    if seed is None:
+        env = os.environ.get("TSMON_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             _fail(ExitStatus.USAGE, f"TSMON_SEED is not an integer: {env!r}")
-    return 0
-
-
-@main.command()
-@click.argument("protocol", type=click.Choice(["abp", "bitvote"]))
-@click.option("--seed", type=int, default=None, help="PRNG seed (default: $TSMON_SEED or 0).")
-@click.option("--drop", type=float, default=0.0, help="Per-send drop probability in [0, 1).")
-@click.option("--dup", type=float, default=0.0, help="Per-send duplication probability in [0, 1).")
-@click.option("--rounds", type=int, default=10, help="Bit emissions (abp) or voting rounds (bitvote).")
-@click.option("--n", "n_peers", type=int, default=2, help="Peer count (bitvote).")
-@click.option("--k", "retry_budget", type=int, default=5, help="Vote requests per round (bitvote).")
-@click.option("--ack-rate", type=float, default=1.0, help="Receiver ack probability (abp lazy variant).")
-@click.option("--out", "out_dir", type=click.Path(), default=".", help="Directory for traces and manifest.")
-def simulate(
-    protocol: str,
-    seed: Optional[int],
-    drop: float,
-    dup: float,
-    rounds: int,
-    n_peers: int,
-    retry_budget: int,
-    ack_rate: float,
-    out_dir: str,
-) -> None:
-    """Run a protocol simulation and write per-participant JSONL traces."""
-    net = dict(seed=_resolve_seed(seed), drop_prob=drop, dup_prob=dup)
     try:
+        net = simnet.NetConfig(seed=seed, drop_prob=drop, dup_prob=dup)
         if protocol == "abp":
-            run = simnet.run_abp(
-                simnet.AbpConfig(
-                    net=simnet.NetConfig(**net), rounds=rounds, ack_prob=ack_rate
-                )
-            )
+            run = simnet.run_abp(simnet.AbpConfig(net=net, rounds=rounds, ack_prob=ack_rate))
         else:
-            run = simnet.run_bitvote(
-                simnet.BitVoteConfig(
-                    net=simnet.NetConfig(**net),
-                    n=n_peers,
-                    k=retry_budget,
-                    voting_rounds=rounds,
-                )
-            )
+            config = simnet.BitVoteConfig(net=net, n=n_peers, k=retry_budget, voting_rounds=rounds)
+            run = simnet.run_bitvote(config)
     except ValueError as exc:
         _fail(ExitStatus.USAGE, str(exc))
     try:
         manifest = simnet.write_run(run, out_dir)
     except OSError as exc:
         _fail(ExitStatus.USAGE, f"cannot write to {out_dir}: {exc.strerror or exc}")
-    click.echo(json.dumps(manifest, sort_keys=True))
-    sys.exit(int(ExitStatus.OK))
+    print(json.dumps(manifest, sort_keys=True))
+    return ExitStatus.OK
 
 
-@main.command(name="monitor")
-@click.argument("spec_path", type=click.Path())
-@click.option("--trace", "trace_path", type=click.Path(), required=True, help="JSONL event trace to replay.")
-@click.option("--error", "error_bound", type=float, default=0.1, help="Confidence-interval half width.")
-@click.option("--warmup", type=int, default=10, help="Suppress verdicts below this execution count.")
-@click.option("--log", "log_path", type=click.Path(), default=None, help="Write the JSONL log here instead of stdout.")
 def monitor_cmd(
-    spec_path: str,
-    trace_path: str,
-    error_bound: float,
-    warmup: int,
-    log_path: Optional[str],
-) -> None:
+    spec_path: str, trace_path: str, error_bound: float, warmup: int, log_path: Optional[str]
+) -> ExitStatus:
     """Replay a trace against a spec and report ratio deviations."""
     spec = _read_valid_spec(spec_path)
     try:
@@ -217,8 +152,63 @@ def monitor_cmd(
         "illegal": illegal,
     }
     out = sys.stderr if log_path is None else sys.stdout
-    click.echo(json.dumps(summary, sort_keys=True), file=out)
-    sys.exit(int(ExitStatus.FINDINGS if deviations or illegal else ExitStatus.OK))
+    print(json.dumps(summary, sort_keys=True), file=out)
+    return ExitStatus.FINDINGS if deviations or illegal else ExitStatus.OK
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        "tsmon", description="Parse, validate, simulate and monitor probabilistic typestates.", allow_abbrev=False
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("validate", validate_cmd).add_argument("spec_path", metavar="SPEC_PATH")
+    cmd = command("graph", graph)
+    cmd.add_argument("spec_path", metavar="SPEC_PATH")
+    cmd.add_argument("--dot", dest="dot_path", help="Write DOT here instead of stdout.")
+    cmd = command("simulate", simulate)
+    cmd.add_argument("protocol", choices=["abp", "bitvote"])
+    cmd.add_argument("--seed", type=int, help="PRNG seed (default: $TSMON_SEED or 0).")
+    cmd.add_argument("--drop", type=float, default=0.0, help="Per-send drop probability in [0, 1).")
+    cmd.add_argument("--dup", type=float, default=0.0, help="Per-send duplication probability in [0, 1).")
+    cmd.add_argument("--rounds", type=int, default=10, help="Bit emissions (abp) or voting rounds (bitvote).")
+    cmd.add_argument("--n", dest="n_peers", type=int, default=2, help="Peer count (bitvote).")
+    cmd.add_argument("--k", dest="retry_budget", type=int, default=5, help="Vote requests per round (bitvote).")
+    cmd.add_argument("--ack-rate", type=float, default=1.0, help="Receiver ack probability (abp lazy variant).")
+    cmd.add_argument("--out", dest="out_dir", default=".", help="Directory for traces and manifest.")
+    cmd = command("monitor", monitor_cmd)
+    cmd.add_argument("spec_path", metavar="SPEC_PATH")
+    cmd.add_argument("--trace", dest="trace_path", required=True, help="JSONL event trace to replay.")
+    cmd.add_argument("--error", dest="error_bound", type=float, default=0.1, help="Confidence-interval half width.")
+    cmd.add_argument("--warmup", type=int, default=10, help="Suppress verdicts below this execution count.")
+    cmd.add_argument("--log", dest="log_path", help="Write the JSONL log here instead of stdout.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> NoReturn:
+    """Run one ``tsmon`` command and exit with its status; usage errors exit 2.
+    ``standalone_mode`` is ignored: perfbench/worker.py still passes it."""
+    try:
+        opts = vars(_PARSER.parse_args(args))
+        status = opts.pop("run")(**opts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away.  Exit 1 quietly, and send what is
+        # still buffered to devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        status = 1
+    sys.exit(int(status))
 
 
 if __name__ == "__main__":

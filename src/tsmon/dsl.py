@@ -67,6 +67,7 @@ from .model import (
     TypeRef,
     Typestate,
     Value,
+    _MAX_INT_DIGITS,
     outcome_text,
 )
 
@@ -90,11 +91,6 @@ _BUILTIN_TYPES = ("unit", "boolean")
 # Binary operators by precedence, loosest first; all associate to the left.
 _PREC = {"+": 1, "-": 1, "*": 2}
 _TIGHTEST = max(_PREC.values())
-
-# The most digits an integer literal may have.  640 is the lowest limit on int
-# conversion that the interpreter accepts (``PYTHONINTMAXSTRDIGITS``), so a
-# literal converts, and prints in an overflow message, under any setting.
-_MAX_INT_DIGITS = 640
 
 # One match per token: the whitespace and comments before a token are a prefix
 # of its match, and the match of the empty ``eof`` at the end of the text takes

@@ -13,7 +13,8 @@ The constructors own the structural rules of a spec (names resolve, no name
 is both a const and a var, no action, decision outcome or enum label is
 repeated, ratios lie in [0, 1], expressions nest at most
 :data:`MAX_EXPR_DEPTH` operator levels) and raise :class:`StructureError`
-naming the offending token; the parser adds its span.
+naming the offending token; the parser adds its span.  An integer literal or
+constant of more than 640 digits raises a plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # closures, calling those closures and serializing the expression each take
 # one stack frame per level; this keeps all three within the interpreter's stack.
 MAX_EXPR_DEPTH = 100
+
+# The most digits an integer literal may have.  640 is the lowest limit on int
+# conversion that the interpreter accepts (``PYTHONINTMAXSTRDIGITS``), so a
+# literal converts, and prints in an overflow message, under any setting.
+_MAX_INT_DIGITS = 640
+_INT_LIMIT = 10**_MAX_INT_DIGITS
 
 # A transition value: None for actions with a plain destination, True/False
 # for boolean outcomes, a label string for enumeration outcomes.
@@ -153,6 +160,10 @@ class SourceSpan:
 @dataclass(frozen=True)
 class IntLit:
     value: int
+
+    def __post_init__(self) -> None:
+        if abs(self.value) >= _INT_LIMIT:
+            raise ValueError("integer literal too long")
 
 
 @dataclass(frozen=True)
@@ -397,6 +408,8 @@ class InternalStateDecl:
     enums: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if any(abs(value) >= _INT_LIMIT for value in self.consts.values()):
+            raise ValueError("integer literal too long")
         _reject_repeats("declaration", "name {!r} declared as both const and var", [*self.consts, *self.vars])
         declared = self.consts.keys() | self.vars.keys()
         for name, init in self.vars.items():

@@ -10,10 +10,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from tsmon import specs
-from tsmon.cli import main
 from tsmon.dsl import ParseError, parse_protocol
 from tsmon.model import PlainDest
 from tsmon.monitor import MonitorConfig, TraceEvent, run_trace
@@ -21,6 +19,7 @@ from tsmon.semantics import initial_config, step
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
 from tsmon.wellformed import build_trs, is_productive, is_reachable, validate
 
+from conftest import run_cli
 from specgen import fixpoint_productive, fixpoint_reachable, random_wellformed_spec
 
 CORE_SPECS = ("sender", "receiver", "leader", "peer", "auth")
@@ -38,11 +37,6 @@ class _Timer:
         self.elapsed = time.monotonic() - self.start
         if exc[0] is None:
             assert self.elapsed < self.limit, f"took {self.elapsed:.2f}s, limit {self.limit}s"
-
-
-def _cli(args, **kwargs):
-    result = CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
-    return result
 
 
 # Criterion 1 -- the five core example typestates validate cleanly and ten
@@ -241,13 +235,13 @@ def test_criterion_5_monitoring_formula():
 def test_criterion_6_end_to_end_faithful(tmp_path):
     with _Timer(10.0):
         out = tmp_path / "run"
-        result = _cli(
+        result = run_cli(
             ["simulate", "abp", "--rounds", "200", "--drop", "0.2", "--seed", "42",
              "--out", str(out)],
         )
         assert result.exit_code == 0
         log_path = tmp_path / "receiver.log"
-        result = _cli(
+        result = run_cli(
             ["monitor", str(specs.spec_path("receiver")), "--trace",
              str(out / "receiver.jsonl"), "--error", "0.1", "--warmup", "20",
              "--log", str(log_path)],
@@ -278,7 +272,7 @@ def test_criterion_7_deviation_detection(tmp_path):
 
 def test_criterion_8_epsilon_opacity(tmp_path):
     out = tmp_path / "run"
-    result = _cli(["simulate", "bitvote", "--seed", "5", "--rounds", "8", "--out", str(out)])
+    result = run_cli(["simulate", "bitvote", "--seed", "5", "--rounds", "8", "--out", str(out)])
     assert result.exit_code == 0
     peer = specs.load("peer")
     conf = MonitorConfig()
@@ -296,12 +290,12 @@ def test_criterion_8_epsilon_opacity(tmp_path):
 def test_criterion_9_determinism(tmp_path):
     seeds = ["--seed", "11", "--drop", "0.3", "--rounds", "40"]
     for sub in ("a", "b"):
-        result = _cli(["simulate", "abp", *seeds, "--out", str(tmp_path / sub)])
+        result = run_cli(["simulate", "abp", *seeds, "--out", str(tmp_path / sub)])
         assert result.exit_code == 0
     for name in ("sender.jsonl", "receiver.jsonl", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     for sub in ("la", "lb"):
-        result = _cli(
+        result = run_cli(
             ["monitor", str(specs.spec_path("receiver")), "--trace",
              str(tmp_path / "a" / "receiver.jsonl"), "--log", str(tmp_path / f"{sub}.log")],
         )

@@ -8,10 +8,16 @@ that pass fails here too.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from tsmon import specs
 from tsmon.monitor import MonitorConfig, TraceEvent, run_trace
+
+from conftest import subprocess_env
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +47,21 @@ def test_run_trace_result_has_a_log_of_verdicts():
     assert [e.verdict for e in result.log] == ["deviation_high", "illegal", "deviation_high"]
     attrs = _tracing()._attrs("monitor.run_trace", args, result)
     assert attrs == {"events": 4, "illegal": 1, "deviations": 2}
+
+
+def test_main_exits_with_the_status_of_the_command():
+    # perfbench/worker.py calls main this way and reads the exit code from
+    # the SystemExit it raises.
+    import tsmon.cli
+
+    with pytest.raises(SystemExit) as exc:
+        tsmon.cli.main(["validate", str(specs.spec_path("receiver"))], standalone_mode=False)
+    assert exc.value.code == 0
+
+
+def test_importing_the_cli_leaves_click_out():
+    code = "import sys, tsmon.cli; print('click' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), check=True
+    )
+    assert run.stdout == "False\n"

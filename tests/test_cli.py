@@ -5,65 +5,53 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tsmon
-from tsmon.cli import main
 from tsmon.monitor import write_trace
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
 from tsmon.specs import spec_path
 
+from conftest import run_cli, subprocess_env
 from specgen import mutated_bundled_spec
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, **kwargs):
-    return runner.invoke(main, args, catch_exceptions=False, **kwargs)
-
-
 class TestValidate:
-    def test_bundled_specs_pass(self, runner):
+    def test_bundled_specs_pass(self):
         for name in ("sender", "receiver", "leader", "peer", "auth"):
-            result = invoke(runner, ["validate", str(spec_path(name))])
+            result = run_cli(["validate", str(spec_path(name))])
             assert result.exit_code == 0, result.stderr
 
-    def test_ratio_sum_failure(self, runner, tmp_path):
+    def test_ratio_sum_failure(self, tmp_path):
         bad = tmp_path / "bad.tsp"
         bad.write_text(
             "state R0 = ?{ unit msg() : R1 }\n"
             "state R1 = !{ unit ack() [0.5; []; []] : R1 [] }"
             " + ?{ unit msg() [0.4; []; []] : R1 [] }\n"
         )
-        result = invoke(runner, ["validate", str(bad)])
+        result = run_cli(["validate", str(bad)])
         assert result.exit_code == 1
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"VALID-RATIO-SUM {bad}:2:")
 
-    def test_missing_file(self, runner):
-        result = invoke(runner, ["validate", "no/such/file.tsp"])
+    def test_missing_file(self):
+        result = run_cli(["validate", "no/such/file.tsp"])
         assert result.exit_code == 2
 
-    def test_non_utf8_spec(self, runner, tmp_path):
+    def test_non_utf8_spec(self, tmp_path):
         bad = tmp_path / "latin1.tsp"
         bad.write_bytes("state Caf\u00e9 = end\n".encode("latin-1"))
-        result = invoke(runner, ["validate", str(bad)])
+        result = run_cli(["validate", str(bad)])
         assert result.exit_code == 2
         assert "cannot read" in result.stderr
 
-    def test_parse_error(self, runner, tmp_path):
+    def test_parse_error(self, tmp_path):
         bad = tmp_path / "broken.tsp"
         bad.write_text("state = {\n")
-        result = invoke(runner, ["validate", str(bad)])
+        result = run_cli(["validate", str(bad)])
         assert result.exit_code == 3
         assert "parse error" in result.stderr
 
@@ -76,19 +64,19 @@ class TestValidate:
         ],
         ids=["parentheses", "operator-chain"],
     )
-    def test_deep_expression_is_a_range_error(self, runner, tmp_path, source):
+    def test_deep_expression_is_a_range_error(self, tmp_path, source):
         deep = tmp_path / "deep.tsp"
         deep.write_text(source)
-        result = invoke(runner, ["validate", str(deep)])
+        result = run_cli(["validate", str(deep)])
         assert result.exit_code == 3
         assert "parse error (range)" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("decl", ["const n = ", "var n = "])
-    def test_huge_integer_literal_is_a_range_error(self, runner, tmp_path, decl):
+    def test_huge_integer_literal_is_a_range_error(self, tmp_path, decl):
         spec = tmp_path / "huge.tsp"
         spec.write_text(decl + "1" + "0" * 5000 + "\nstate S = end\n")
-        result = invoke(runner, ["validate", str(spec)])
+        result = run_cli(["validate", str(spec)])
         assert result.exit_code == 3
         assert f"huge.tsp:1:{len(decl) + 1}: integer literal too long" in result.stderr
         assert "parse error (range)" in result.stderr
@@ -97,12 +85,10 @@ class TestValidate:
     def test_literal_digit_bound_ignores_int_conversion_limit(self, tmp_path, limit):
         # 640 digits is the bound under any PYTHONINTMAXSTRDIGITS, which sets
         # how many digits int() converts from text.
-        env = dict(os.environ)
+        env = subprocess_env()
         env.pop("PYTHONINTMAXSTRDIGITS", None)
         if limit is not None:
             env["PYTHONINTMAXSTRDIGITS"] = limit
-        src = str(Path(tsmon.__file__).parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         long = tmp_path / "long.tsp"
         long.write_text("const n = 1" + "0" * 640 + "\nstate S = end\n")
         wide = tmp_path / "wide.tsp"
@@ -125,42 +111,41 @@ class TestValidate:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(text=mutated_bundled_spec())
-    def test_mutated_specs_exit_without_traceback(self, runner, tmp_path, text):
+    def test_mutated_specs_exit_without_traceback(self, tmp_path, text):
         spec = tmp_path / "mutated.tsp"
         spec.write_text(text)
-        result = invoke(runner, ["validate", str(spec)])
+        result = run_cli(["validate", str(spec)])
         assert result.exit_code in (0, 1, 3)
         assert "Traceback" not in result.stdout + result.stderr
 
 
 class TestGraph:
-    def test_writes_dot_file(self, runner, tmp_path):
+    def test_writes_dot_file(self, tmp_path):
         out = tmp_path / "sender.dot"
-        result = invoke(runner, ["graph", str(spec_path("sender")), "--dot", str(out)])
+        result = run_cli(["graph", str(spec_path("sender")), "--dot", str(out)])
         assert result.exit_code == 0
         dot = out.read_text()
         assert dot.startswith("digraph")
         assert dot.count("->") == 3
 
-    def test_stdout_when_no_file(self, runner):
-        result = invoke(runner, ["graph", str(spec_path("auth"))])
+    def test_stdout_when_no_file(self):
+        result = run_cli(["graph", str(spec_path("auth"))])
         assert result.exit_code == 0
         assert "?login/success" in result.stdout
         assert "?login/failure" in result.stdout
 
-    def test_invalid_spec_writes_nothing(self, runner, tmp_path):
+    def test_invalid_spec_writes_nothing(self, tmp_path):
         bad = tmp_path / "bad.tsp"
         bad.write_text("state A = !{ unit m() : A }\nstate B = !{ unit m() : B }\n")
         out = tmp_path / "bad.dot"
-        result = invoke(runner, ["graph", str(bad), "--dot", str(out)])
+        result = run_cli(["graph", str(bad), "--dot", str(out)])
         assert result.exit_code == 1
         assert not out.exists()
 
 
 class TestSimulate:
-    def test_bitvote_writes_all_traces(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_bitvote_writes_all_traces(self, tmp_path):
+        result = run_cli(
             ["simulate", "bitvote", "--n", "2", "--k", "5", "--seed", "7",
              "--rounds", "1", "--out", str(tmp_path)],
         )
@@ -170,9 +155,8 @@ class TestSimulate:
         manifest = json.loads(result.stdout)
         assert manifest["seed"] == 7
 
-    def test_abp_lossless_trace_counts(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_abp_lossless_trace_counts(self, tmp_path):
+        result = run_cli(
             ["simulate", "abp", "--rounds", "3", "--drop", "0", "--out", str(tmp_path)],
         )
         assert result.exit_code == 0
@@ -181,32 +165,29 @@ class TestSimulate:
         assert actions.count("msg") == 3
         assert actions.count("ack") == 3
 
-    def test_drop_out_of_range(self, runner, tmp_path):
-        result = invoke(
-            runner, ["simulate", "abp", "--drop", "1.5", "--out", str(tmp_path)]
+    def test_drop_out_of_range(self, tmp_path):
+        result = run_cli(
+            ["simulate", "abp", "--drop", "1.5", "--out", str(tmp_path)]
         )
         assert result.exit_code == 2
 
-    def test_env_seed_used_when_flag_absent(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_env_seed_used_when_flag_absent(self, tmp_path):
+        result = run_cli(
             ["simulate", "abp", "--rounds", "1", "--out", str(tmp_path)],
             env={"TSMON_SEED": "99"},
         )
         assert json.loads(result.stdout)["seed"] == 99
 
-    def test_flag_beats_env_seed(self, runner, tmp_path):
-        result = invoke(
-            runner,
+    def test_flag_beats_env_seed(self, tmp_path):
+        result = run_cli(
             ["simulate", "abp", "--rounds", "1", "--seed", "3", "--out", str(tmp_path)],
             env={"TSMON_SEED": "99"},
         )
         assert json.loads(result.stdout)["seed"] == 3
 
-    def test_repeated_runs_byte_identical(self, runner, tmp_path):
+    def test_repeated_runs_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
-            invoke(
-                runner,
+            run_cli(
                 ["simulate", "abp", "--rounds", "20", "--drop", "0.3",
                  "--seed", "5", "--out", str(tmp_path / sub)],
             )
@@ -246,17 +227,16 @@ def _mutated_trace(draw) -> bytes:
 
 
 class TestMonitor:
-    def _simulate(self, runner, tmp_path, *extra):
+    def _simulate(self, tmp_path, *extra):
         args = ["simulate", "abp", "--rounds", "50", "--drop", "0.2", "--seed", "42",
                 "--out", str(tmp_path), *extra]
-        result = invoke(runner, args)
+        result = run_cli(args)
         assert result.exit_code == 0
 
-    def test_faithful_receiver_passes(self, runner, tmp_path):
-        self._simulate(runner, tmp_path)
+    def test_faithful_receiver_passes(self, tmp_path):
+        self._simulate(tmp_path)
         log = tmp_path / "receiver.log"
-        result = invoke(
-            runner,
+        result = run_cli(
             ["monitor", str(spec_path("receiver")), "--trace",
              str(tmp_path / "receiver.jsonl"), "--error", "0.1",
              "--warmup", "10", "--log", str(log)],
@@ -267,10 +247,9 @@ class TestMonitor:
         assert summary["deviations"] == 0
         assert summary["monitored"] == len(log.read_text().splitlines())
 
-    def test_lazy_receiver_fails(self, runner, tmp_path):
-        self._simulate(runner, tmp_path, "--ack-rate", "0.6")
-        result = invoke(
-            runner,
+    def test_lazy_receiver_fails(self, tmp_path):
+        self._simulate(tmp_path, "--ack-rate", "0.6")
+        result = run_cli(
             ["monitor", str(spec_path("receiver")), "--trace",
              str(tmp_path / "receiver.jsonl"), "--log", str(tmp_path / "r.log")],
         )
@@ -281,10 +260,9 @@ class TestMonitor:
             e["action"] == "ack" and e["verdict"] == "deviation_low" for e in entries
         )
 
-    def test_nan_error_bound_is_a_usage_error(self, runner, tmp_path):
-        self._simulate(runner, tmp_path)
-        result = invoke(
-            runner,
+    def test_nan_error_bound_is_a_usage_error(self, tmp_path):
+        self._simulate(tmp_path)
+        result = run_cli(
             ["monitor", str(spec_path("receiver")), "--trace",
              str(tmp_path / "receiver.jsonl"), "--error", "nan", "--warmup", "0"],
         )
@@ -292,11 +270,10 @@ class TestMonitor:
         assert result.stdout == ""
         assert "error bound" in result.stderr
 
-    def test_empty_trace(self, runner, tmp_path):
+    def test_empty_trace(self, tmp_path):
         trace = tmp_path / "empty.jsonl"
         trace.write_text("")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["monitor", str(spec_path("sender")), "--trace", str(trace),
              "--log", str(tmp_path / "out.log")],
         )
@@ -304,7 +281,7 @@ class TestMonitor:
         assert (tmp_path / "out.log").read_text() == ""
         assert json.loads(result.stdout)["events"] == 0
 
-    def test_overflow_is_logged_illegal(self, runner, tmp_path):
+    def test_overflow_is_logged_illegal(self, tmp_path):
         spec = tmp_path / "overflow.tsp"
         spec.write_text(
             "const big = 9223372036854775807\n"
@@ -320,7 +297,7 @@ class TestMonitor:
                 for i in range(3)
             )
         )
-        result = invoke(runner, ["monitor", str(spec), "--trace", str(trace)])
+        result = run_cli(["monitor", str(spec), "--trace", str(trace)])
         assert result.exit_code == 1
         assert "Traceback" not in result.stderr
         summary = json.loads(result.stderr.strip().splitlines()[-1])
@@ -336,24 +313,23 @@ class TestMonitor:
         ],
         ids=["literal", "const-plus-one"],
     )
-    def test_initial_value_overflow_is_a_usage_error(self, runner, tmp_path, decls):
+    def test_initial_value_overflow_is_a_usage_error(self, tmp_path, decls):
         spec = tmp_path / "init.tsp"
         spec.write_text(decls + "state S0 = !{ unit tick() : S0 }\n")
         trace = tmp_path / "empty.jsonl"
         trace.write_text("")
         for args in (["validate", str(spec)], ["graph", str(spec)],
                      ["monitor", str(spec), "--trace", str(trace)]):
-            result = invoke(runner, args)
+            result = run_cli(args)
             assert result.exit_code == 2, args
             assert result.stdout == ""
             lines = result.stderr.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith(f"error: {spec}: initial values: arithmetic overflow")
 
-    def test_log_to_stdout_summary_to_stderr(self, runner, tmp_path):
-        self._simulate(runner, tmp_path)
-        result = invoke(
-            runner,
+    def test_log_to_stdout_summary_to_stderr(self, tmp_path):
+        self._simulate(tmp_path)
+        result = run_cli(
             ["monitor", str(spec_path("receiver")), "--trace",
              str(tmp_path / "receiver.jsonl")],
         )
@@ -399,11 +375,10 @@ class TestMonitor:
             "participants-mixed",
         ],
     )
-    def test_malformed_trace(self, runner, tmp_path, line):
+    def test_malformed_trace(self, tmp_path, line):
         trace = tmp_path / "junk.jsonl"
         trace.write_text(line + "\n")
-        result = invoke(
-            runner,
+        result = run_cli(
             ["monitor", str(spec_path("sender")), "--trace", str(trace)],
         )
         assert result.exit_code == 2
@@ -413,25 +388,103 @@ class TestMonitor:
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(data=_mutated_trace())
-    def test_mutated_trace_exits_without_traceback(self, runner, tmp_path, data):
+    def test_mutated_trace_exits_without_traceback(self, tmp_path, data):
         trace = tmp_path / "mutated.jsonl"
         trace.write_bytes(data)
-        result = invoke(
-            runner,
+        result = run_cli(
             ["monitor", str(spec_path("receiver")), "--trace", str(trace),
              "--log", str(tmp_path / "mutated.log")],
         )
         assert result.exit_code in (0, 1, 2, 3)
         assert "Traceback" not in result.stdout + result.stderr
 
-    def test_monitor_runs_are_byte_identical(self, runner, tmp_path):
-        self._simulate(runner, tmp_path)
+    def test_monitor_runs_are_byte_identical(self, tmp_path):
+        self._simulate(tmp_path)
         logs = []
         for name in ("one.log", "two.log"):
-            invoke(
-                runner,
+            run_cli(
                 ["monitor", str(spec_path("receiver")), "--trace",
                  str(tmp_path / "receiver.jsonl"), "--log", str(tmp_path / name)],
             )
             logs.append((tmp_path / name).read_bytes())
         assert logs[0] == logs[1]
+
+class TestUsage:
+    """The argument handling that callers rely on: usage errors exit 2 with
+    nothing on stdout, help exits 0, and a closed stdout or Ctrl-C exits 1
+    without a traceback."""
+
+    OPTIONS = {
+        "validate": [],
+        "graph": ["--dot"],
+        "simulate": ["--seed", "--drop", "--dup", "--rounds", "--n", "--k", "--ack-rate", "--out"],
+        "monitor": ["--trace", "--error", "--warmup", "--log"],
+    }
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["validate"],
+            ["monitor", str(spec_path("receiver"))],
+            ["simulate", "foo"],
+            ["simulate", "abp", "--seed", "x"],
+            ["simulate", "abp", "--dro", "0.1"],
+        ],
+        ids=["no-arguments", "validate-no-spec", "monitor-no-trace", "simulate-unknown-protocol",
+             "seed-not-int", "abbreviated-option"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)  # where `simulate` would write, were it to run
+        result = run_cli(args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_every_command(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0
+        for command in self.OPTIONS:
+            assert command in result.stdout
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_help_lists_every_option(self, command):
+        result = run_cli([command, "--help"])
+        assert result.exit_code == 0
+        for option in self.OPTIONS[command]:
+            assert option in result.stdout
+
+    def test_value_starting_with_dash_after_equals(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(["simulate", "abp", "--rounds", "1", "--out=-dir"])
+        assert result.exit_code == 0
+        assert (tmp_path / "-dir" / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("n", [2, 5000])  # DOT output within, and far beyond, one buffer
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, n):
+        spec = tmp_path / "ring.tsp"
+        spec.write_text("".join(f"state S{i} = !{{ unit a() : S{(i + 1) % n} }}\n" for i in range(n)))
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)  # buffered, so a small output fails only on flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "tsmon.cli", "graph", str(spec)],
+                stdout=write, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write)
+        assert run.returncode == 1
+        assert run.stderr == b""
+
+    def test_ctrl_c_exits_1_with_aborted(self, monkeypatch):
+        def interrupt(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("tsmon.cli.validate", interrupt)
+        result = run_cli(["validate", str(spec_path("receiver"))])
+        assert result.exit_code == 1
+        assert "Aborted!" in result.stderr
+        assert "Traceback" not in result.stderr

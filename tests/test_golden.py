@@ -8,10 +8,9 @@ Each key names an output file or a command's stdout/stderr.
 
 import hashlib
 
-from click.testing import CliRunner
-
-from tsmon.cli import main
 from tsmon.specs import spec_path
+
+from conftest import run_cli
 
 ABP_GOLDEN = {
     "simulate.stdout": "02669275cd6babca73ac9e93454b05aadde4e7b736dfa008a0227145588629b6",
@@ -63,7 +62,7 @@ def _sha(data):
 
 
 def _invoke(digests, name, args):
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = run_cli(args)
     digests[f"{name}.stdout"] = _sha(result.stdout)
     digests[f"{name}.stderr"] = _sha(result.stderr)
     digests[f"{name}.exit"] = result.exit_code

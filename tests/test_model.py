@@ -161,6 +161,20 @@ class TestInvariants:
         with pytest.raises(ValueError, match="constants"):
             InternalStateDecl(vars={"x": IntLit(0), "y": Name("x")})
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_literal_of_more_than_640_digits_rejected(self, sign):
+        IntLit(sign * int("9" * 640))
+        for value in (10**640, 10**5000):
+            with pytest.raises(ValueError, match="integer literal too long"):
+                IntLit(sign * value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_constant_of_more_than_640_digits_rejected(self, sign):
+        InternalStateDecl(consts={"n": sign * int("9" * 640)})
+        for value in (10**640, 10**5000):
+            with pytest.raises(ValueError, match="integer literal too long"):
+                InternalStateDecl(consts={"n": sign * value})
+
     def test_deep_expression_rejected(self):
         def chain(depth):
             expr = Name("x")
