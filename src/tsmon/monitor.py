@@ -25,7 +25,9 @@ per line gives.  A writer caches a format string made by ``json.dumps`` per
 distinct value of the fields that repeat from line to line, and fills in
 ``seq``, or ``observed`` and ``event_index``; a line with a field of another
 type is dumped whole.  :func:`read_trace` parses a line in full only when its
-head (all before ``, "seq": ``) is new, and else reads just the ``seq``.
+head (all before ``, "seq": ``) is new, and else reads just the ``seq``.  The
+writers hand a file ``_CHUNK`` lines per ``write`` and the reader takes it a
+line at a time, so neither holds a copy of the whole text.
 
 :class:`TraceEvent` and :class:`LogEntry` are named tuples: immutable, built
 by position or keyword, read by attribute, index or unpacking, and equal to a
@@ -38,8 +40,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Optional, Union, get_args
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_args
 
 from . import semantics
 from .model import ProtocolSpec, Value
@@ -84,6 +87,9 @@ _VALUE_TYPES = get_args(Value)
 # The tail of a trace line after ``, "seq": ``: a JSON integer (of at most 100
 # digits; ``int()`` refuses 4300 by default) and the closing brace.
 _SEQ_TAIL = re.compile(r"-?(?:0|[1-9][0-9]{0,99})\}")
+
+# Lines per ``write`` of the JSON Lines writers.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,7 @@ def _resume(
     state, store = cfg.state, cfg.store
     scope = start = scope_of(store)
     table = Transitions(spec, store.vars)
+    intervals: dict[tuple[str, str], tuple[float, float]] = {}  # shared by a pair's entries
     n = dict(cfg.n)
     p = dict(cfg.p)
     for _, action, direction, value, seq in events:
@@ -188,8 +195,11 @@ def _resume(
             n_before = n.get(state, 0)
             p_before = p.get((state, action), 0)
             observed = (p_before + 1) / (n_before + 1)
-            bound = conf.bound_for(state, action)
-            low, high = mu - bound, mu + bound
+            interval = intervals.get((state, action))
+            if interval is None:
+                bound = conf.bound_for(state, action)
+                interval = intervals[state, action] = (mu - bound, mu + bound)
+            low, high = interval
             if n_before + 1 < conf.warmup:
                 verdict = VERDICT_WARMUP
             elif observed < low:
@@ -198,7 +208,7 @@ def _resume(
                 verdict = VERDICT_DEVIATION_HIGH
             else:
                 verdict = VERDICT_OK
-            log.append(LogEntry(state, action, mu, (low, high), observed, verdict, seq))
+            log.append(LogEntry(state, action, mu, interval, observed, verdict, seq))
             n[state] = n_before + 1
             p[(state, action)] = p_before + 1
         state, scope = target, after
@@ -278,40 +288,48 @@ def _template(obj: dict, **holes: str) -> str:
     return text + "\n"
 
 
-def _write(target: Union[str, Path, IO[str]], lines: Iterable[str]) -> None:
-    text = "".join(lines)
+def _write(target: Union[str, Path, IO[str]], lines: Iterator[str]) -> None:
+    """Write ``lines`` to ``target``, ``_CHUNK`` lines per ``write``.  A path
+    is opened as ``Path.write_text`` opens it; if encoding a line raises, the
+    chunks written before it stay in the file."""
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+        with open(target, "w", encoding="utf-8") as fh:
+            _write(fh, lines)
+        return
+    while chunk := "".join(islice(lines, _CHUNK)):
+        target.write(chunk)
 
 
 def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:
-    lines, templates = [], {}
+    _write(target, _trace_lines(events))
+
+
+def _trace_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    templates = {}
     for ev in events:
         p, a, d, v, seq = ev
         if type(seq) is int and type(p) is type(a) is type(d) is str and type(v) in _VALUE_TYPES:
             template = templates.get((p, a, d, v))
             if template is None:
                 template = templates[p, a, d, v] = _template(trace_event_to_json(ev), seq="%d")
-            lines.append(template % seq)
+            yield template % seq
         else:
-            lines.append(json.dumps(trace_event_to_json(ev)) + "\n")
-    _write(target, lines)
+            yield json.dumps(trace_event_to_json(ev)) + "\n"
 
 
 def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
     """Events of one participant's trace; raises ValueError on a malformed
-    line or on events of more than one participant."""
+    line or on events of more than one participant.  A path is read line by
+    line with universal newlines, as ``Path.read_text`` reads it."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+        with open(source, encoding="utf-8") as fh:
+            return read_trace(fh)
     events, participants = [], set()
     # A line is a head, ``, "seq": `` and a tail.  Once a line has parsed as
     # an event, a later line with the same head differs from it only in seq.
     heads: dict[str, tuple] = {}
-    for line in text.split("\n"):  # not splitlines(): U+2028 and the like may sit in a string
+    for line in source:  # a text file ends a line only at "\n", unlike splitlines()
+        line = line.rstrip("\n")
         head, _, tail = line.rpartition(', "seq": ')
         fields = heads.get(head)
         if fields is not None and _SEQ_TAIL.fullmatch(tail):
@@ -343,7 +361,11 @@ def log_entry_to_json(entry: LogEntry) -> dict:
 
 
 def write_log(target: Union[str, Path, IO[str]], log: Iterable[LogEntry]) -> None:
-    lines, templates = [], {}
+    _write(target, _log_lines(log))
+
+
+def _log_lines(log: Iterable[LogEntry]) -> Iterator[str]:
+    templates = {}
     for e in log:
         state, action, mu, iv, obs, verdict, idx = e
         # mu and the interval key the cache, so they must be floats (1 and True
@@ -358,7 +380,6 @@ def write_log(target: Union[str, Path, IO[str]], log: Iterable[LogEntry]) -> Non
                 template = templates[key] = _template(
                     log_entry_to_json(e), observed="%r", event_index="%d"
                 )
-            lines.append(template % (obs, idx))
+            yield template % (obs, idx)
         else:
-            lines.append(json.dumps(log_entry_to_json(e)) + "\n")
-    _write(target, lines)
+            yield json.dumps(log_entry_to_json(e)) + "\n"

@@ -398,6 +398,55 @@ class TestMonitor:
         assert result.exit_code in (0, 1, 2, 3)
         assert "Traceback" not in result.stdout + result.stderr
 
+    @pytest.mark.parametrize(
+        "gap, reported", [(0, "can't decode byte 0xff"), (100_000, "Expecting value")],
+        ids=["same-block", "blocks-apart"],
+    )
+    def test_malformed_line_before_invalid_utf8(self, tmp_path, gap, reported):
+        # The trace is decoded a block (8 KiB) at a time, so bytes that are not
+        # UTF-8 are met when their block is read: a malformed line in the same
+        # block is not reported, one in an earlier block is.
+        trace = tmp_path / "junk.jsonl"
+        trace.write_bytes(b"not json\n" + b" \n" * gap + b"\xff\n")
+        result = run_cli(["monitor", str(spec_path("sender")), "--trace", str(trace)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: malformed trace {trace}: ")
+        assert reported in line
+
+    def _long_trace(self, tmp_path):
+        """A receiver trace of about 5,000 events, whose log spans several writes."""
+        run = run_abp(AbpConfig(net=NetConfig(seed=1, drop_prob=0.2), rounds=2_000))
+        trace = tmp_path / "receiver.jsonl"
+        write_trace(trace, run.traces["receiver"])
+        return ["monitor", str(spec_path("receiver")), "--trace", str(trace)]
+
+    def test_log_file_equals_stdout(self, tmp_path):
+        args = [sys.executable, "-m", "tsmon.cli", *self._long_trace(tmp_path)]
+        log = tmp_path / "receiver.log"
+        to_file = subprocess.run([*args, "--log", str(log)], capture_output=True, env=subprocess_env())
+        to_stdout = subprocess.run(args, capture_output=True, env=subprocess_env())
+        assert to_file.returncode == to_stdout.returncode
+        assert log.read_bytes() == to_stdout.stdout
+        assert to_file.stdout == to_stdout.stderr  # the summary
+        assert len(to_stdout.stdout.splitlines()) > 4_000
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "tsmon.cli", *self._long_trace(tmp_path)],
+                stdout=write, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write)
+        assert run.returncode == 1
+        assert run.stderr == b""  # a run that finished would print its summary here
+
     def test_monitor_runs_are_byte_identical(self, tmp_path):
         self._simulate(tmp_path)
         logs = []

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,23 @@ class TestMonitorStep:
         result = run_trace(receiver, conf, r1_stream(2, first="ack"))
         assert result.log[0].interval == (-0.25, 1.25)
         assert result.log[0].verdict == VERDICT_OK
+
+
+class TestIntervals:
+    """One interval per (state, action), made once and shared by its entries."""
+
+    def test_entries_of_a_pair_share_one_interval(self, receiver):
+        conf = MonitorConfig(error_bound=0.1, warmup=0)
+        shared = {}
+        for e in run_trace(receiver, conf, r1_stream(40)).log:
+            assert e.interval is shared.setdefault((e.state, e.action), e.interval)
+            assert e.interval == (e.mu - 0.1, e.mu + 0.1)
+        assert sorted(shared) == [("R1", "ack"), ("R1", "msg")]
+
+    def test_override_moves_only_its_pair(self, receiver):
+        conf = MonitorConfig(error_bound=0.1, per_action_error={("R1", "ack"): 0.3}, warmup=0)
+        intervals = {(e.action, e.interval) for e in run_trace(receiver, conf, r1_stream(40)).log}
+        assert intervals == {("ack", (0.5 - 0.3, 0.5 + 0.3)), ("msg", (0.5 - 0.1, 0.5 + 0.1))}
 
 
 class TestRunTrace:
@@ -515,6 +533,64 @@ class TestCodecs:
             for seq in ("0", "-0", "7", str(2**80), str(10**150))
         )
         assert [ev.seq for ev in read_trace(io.StringIO(text))] == [0, 0, 7, 2**80, 10**150]
+
+
+def _receiver_log(count):
+    spec = specs.load("receiver")
+    return run_trace(spec, MonitorConfig(error_bound=0.05, warmup=20), r1_stream(count)).log
+
+
+def _traced(fn, *args):
+    """``fn(*args)``, the memory traced at its peak during the call, and the
+    memory still allocated when it returned (both above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+class TestStreaming:
+    """The writers hand the file a chunk of lines at a time and the reader
+    takes it line by line: neither holds the whole text."""
+
+    @pytest.mark.parametrize("write, records", [(write_log, _receiver_log), (write_trace, r1_stream)])
+    def test_writer_peak_does_not_grow_with_the_records(self, tmp_path, write, records):
+        peaks = []
+        for count in (10_000, 80_000):
+            items = records(count)
+            peaks.append(_traced(write, tmp_path / "out.jsonl", items)[1])
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
+
+    def test_reader_peak_stays_near_what_its_events_hold(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, r1_stream(80_000))
+        events, peak, held = _traced(read_trace, path)
+        assert len(events) == 80_001
+        assert peak < 1.25 * held, (peak, held)
+
+    @pytest.mark.parametrize(
+        "write, to_json, records, bad",
+        [(write_trace, trace_event_to_json, r1_stream, TraceEvent("r", "msg", "in", object(), 1)),
+         (write_log, log_entry_to_json, _receiver_log,
+          LogEntry("R1", "ack", 0.5, (0.45, 0.55), object(), VERDICT_OK, 1))],
+        ids=["trace", "log"],
+    )
+    def test_unencodable_record_raises_what_json_dumps_raises(self, tmp_path, write, to_json, records, bad):
+        good = records(3_000)  # more than one chunk
+        items = [*good, bad]
+        expected = _outcome(_reference_lines, to_json, items)
+        assert expected[0] is TypeError
+        assert _outcome(write, io.StringIO(), items) == expected
+        path = tmp_path / "out.jsonl"
+        assert _outcome(write, path, items) == expected
+        # The chunks written before the error stay: whole lines, before the bad record's.
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert _reference_lines(to_json, good).startswith(text)
 
 
 class TestRecords:
