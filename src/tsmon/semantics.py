@@ -15,6 +15,12 @@ compiles each pair on first use, and carry the state and the scope
 themselves.  :func:`step` compiles the one transition a call takes and runs
 the same closures.
 
+For a transition with no ``effect`` and a plain ``target``, :func:`fire` with
+the value ``None`` returns ``(t.target, scope, True)`` and changes nothing, so
+a caller may take ``t.target`` directly without the call.  The simulator and
+the monitor loop do so; every other case (an effect, a decision, a missing
+transition, a unit action given a value) goes through :func:`fire`.
+
 Every literal, name read and operator result is checked against the int64
 range.  A literal is checked when compiled: one out of range compiles to a
 closure that raises the overflow when evaluated.

@@ -4,8 +4,11 @@ Participants execute every action on their bundled typestate with
 :func:`tsmon.semantics.fire`, each compiling the (state, action) pairs it
 meets once into a :class:`tsmon.semantics.Transitions` table, so the emitted
 traces conform by construction and a replay reproduces the exact
-configuration trajectory.  Each trace event's direction is the session side
-of the transition that was executed.
+configuration trajectory.  A transition with no effect and a plain target
+moves to that target without the call, which is what ``fire`` returns for
+it (see :mod:`tsmon.semantics`); all the abp and peer transitions are such.
+Each trace event's direction is the session side of the transition that was
+executed.
 Messages that a participant ignores as outdated or duplicated are not action
 executions and do not appear in traces.
 
@@ -29,9 +32,10 @@ vwb → ``peer_vwb(name, round, bit)``, retry timer → ``retry(round)``.
 from __future__ import annotations
 
 import dataclasses
-import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -56,6 +60,8 @@ TICK_BUDGET = 100_000
 
 _MASK64 = (1 << 64) - 1
 
+_tuple_new = tuple.__new__  # builds a TraceEvent without its __new__ call
+
 
 class SplitMix64:
     """SplitMix64 generator: state += 0x9E3779B97F4A7C15, output finalized
@@ -75,8 +81,12 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
     def uniform(self) -> float:
-        """A float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        """A float in [0, 1) with 53 random bits: ``(next_u64() >> 11) / 2**53``,
+        with the draw written out to save a call per draw."""
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) / 2.0**53
 
     def randrange(self, n: int) -> int:
         return self.next_u64() % n
@@ -176,19 +186,19 @@ class SimRun:
 
 class _EventLoop:
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self._counter = 0
+        self.heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self.order = itertools.count()  # the scheduling order of the calls
         self.now = 0
 
     def at(self, delay: int, fn: Callable[..., None], *args) -> None:
         """Schedule the call ``fn(*args)`` ``delay`` ticks from now."""
-        heapq.heappush(self._heap, (self.now + delay, self._counter, fn, args))
-        self._counter += 1
+        heappush(self.heap, (self.now + delay, next(self.order), fn, args))
 
     def run(self, budget: int) -> bool:
         """Make the calls in (time, scheduling) order; True if truncated."""
-        while self._heap:
-            time, _, fn, args = heapq.heappop(self._heap)
+        heap = self.heap
+        while heap:
+            time, _, fn, args = heappop(heap)
             if time > budget:
                 return True
             self.now = time
@@ -209,9 +219,13 @@ class _Participant:
     def execute(self, action: str) -> str:
         """Execute ``action`` and return the next state."""
         t = self.transitions[self.state, action]
-        self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
+        if t is not None and t.effect is None and t.target is not None:
+            self.state = t.target  # what fire returns for it
+        else:
+            self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
+        events = self.events
         direction = DIRECTION_IN if t.is_input else DIRECTION_OUT
-        self.events.append(TraceEvent(self.name, action, direction, None, len(self.events)))
+        events.append(_tuple_new(TraceEvent, (self.name, action, direction, None, len(events))))
         return self.state
 
 
@@ -224,13 +238,14 @@ class _Network:
     def send(self, deliver: Callable[..., None], *args, drop: Optional[float] = None) -> None:
         """Schedule ``deliver(*args)`` once per surviving copy; ``drop``, when
         set, replaces the configured drop probability."""
-        dropped = self.rng.uniform() < (self.net.drop_prob if drop is None else drop)
-        duplicated = self.rng.uniform() < self.net.dup_prob
+        net, rng, loop = self.net, self.rng, self.loop
+        dropped = rng.uniform() < (net.drop_prob if drop is None else drop)
+        duplicated = rng.uniform() < net.dup_prob
         for _ in range((0 if dropped else 1) + (1 if duplicated else 0)):
-            delay = self.net.base_delay
-            if self.net.jitter:
-                delay += self.rng.randrange(self.net.jitter + 1)
-            self.loop.at(delay, deliver, *args)
+            delay = net.base_delay
+            if net.jitter:
+                delay += rng.randrange(net.jitter + 1)
+            heappush(loop.heap, (loop.now + delay, next(loop.order), deliver, args))
 
 
 def _finish(

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from tsmon import simnet, specs
-from tsmon.monitor import MonitorConfig, VERDICT_ILLEGAL, run_trace
+from tsmon.monitor import MonitorConfig, TraceEvent, VERDICT_ILLEGAL, run_trace
 from tsmon.semantics import IllegalActionError, initial_config, scope_of, step
 from tsmon.simnet import (
     AbpConfig,
@@ -40,6 +41,20 @@ class TestSplitMix64:
         master = SplitMix64(5)
         a, b = master.split(), master.split()
         assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
+    def test_uniform_is_the_documented_draw(self, seed):
+        # uniform() computes its draw in one call; its floats stay bit-equal to
+        # the 53 high bits of next_u64() over 2**53, on a master stream and on
+        # one split off it.
+        for rng, twin in [
+            (SplitMix64(seed), SplitMix64(seed)),
+            (SplitMix64(seed).split(), SplitMix64(seed).split()),
+        ]:
+            drawn = [rng.uniform().hex() for _ in range(10_000)]
+            expected = [((twin.next_u64() >> 11) / 2**53).hex() for _ in range(10_000)]
+            assert drawn == expected
+            assert rng.state == twin.state
 
 
 class TestMajority:
@@ -82,6 +97,23 @@ class TestAbp:
         run = run_abp(AbpConfig(net=NetConfig(seed=5, drop_prob=0.3), rounds=10))
         for trace in run.traces.values():
             assert [e.seq for e in trace] == list(range(len(trace)))
+            assert {type(e) for e in trace} == {TraceEvent}
+
+    def test_run_abp_grows_linearly(self):
+        # Each event costs the same however many came before it: eight times
+        # the rounds take about eight times as long.
+        def best_of_3(rounds):
+            cfg = AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1),
+                            rounds=rounds, ack_prob=0.7)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                run_abp(cfg)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(500), best_of_3(4_000)
+        assert large <= 16 * small, (small, large)
 
     def test_lazy_receiver_acks_fewer_msgs(self):
         run = run_abp(AbpConfig(net=NetConfig(seed=9), rounds=50, ack_prob=0.6))
