@@ -17,12 +17,8 @@ single event, so the fold and the trace run cannot drift apart.  It carries
 the state, the variables and the counters itself, compiles each (state,
 action) pair it meets once into a :class:`tsmon.semantics.Transitions` table,
 executes each event with :func:`tsmon.semantics.fire`, and takes the session
-side and ratio from the compiled transition.  An event with no value whose
-transition has no effect and a plain target moves to that target without the
-call, as :mod:`tsmon.semantics` allows; any other event, a unit action that
-carries a value included, goes through ``fire``.  The log is output, not
-state: the loop appends each entry to its caller's list; :class:`MTInfo` has
-no log.
+side and ratio from the compiled transition.  The log is output, not state:
+the loop appends each entry to its caller's list; :class:`MTInfo` has no log.
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
 per line gives.  A writer caches a format string made by ``json.dumps`` per
@@ -189,13 +185,10 @@ def _resume(
     p = dict(cfg.p)
     for _, action, direction, value, seq in events:
         t = table[state, action]
-        if value is None and t is not None and t.effect is None and t.target is not None:
-            target, after = t.target, scope  # what fire returns for it
-        else:
-            try:
-                target, after, _ = fire(t, state, action, value, scope)
-            except (IllegalActionError, EvalError):
-                t = None
+        try:
+            target, after, _ = fire(t, state, action, value, scope)
+        except (IllegalActionError, EvalError):
+            t = None
         if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
             log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
             continue

@@ -17,9 +17,9 @@ the same closures.
 
 For a transition with no ``effect`` and a plain ``target``, :func:`fire` with
 the value ``None`` returns ``(t.target, scope, True)`` and changes nothing, so
-a caller may take ``t.target`` directly without the call.  The simulator and
-the monitor loop do so; every other case (an effect, a decision, a missing
-transition, a unit action given a value) goes through :func:`fire`.
+a caller may take ``t.target`` directly without the call.  The simulator
+does so; every other case (an effect, a decision, a missing transition, a unit
+action given a value) goes through :func:`fire`.
 
 Every literal, name read and operator result is checked against the int64
 range.  A literal is checked when compiled: one out of range compiles to a

@@ -186,17 +186,17 @@ class SimRun:
 
 class _EventLoop:
     def __init__(self) -> None:
-        self.heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self.order = itertools.count()  # the scheduling order of the calls
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._order = itertools.count()  # the scheduling order of the calls
         self.now = 0
 
-    def at(self, delay: int, fn: Callable[..., None], *args) -> None:
+    def at(self, delay: int, fn: Callable[..., None], args: tuple) -> None:
         """Schedule the call ``fn(*args)`` ``delay`` ticks from now."""
-        heappush(self.heap, (self.now + delay, next(self.order), fn, args))
+        heappush(self._heap, (self.now + delay, next(self._order), fn, args))
 
     def run(self, budget: int) -> bool:
         """Make the calls in (time, scheduling) order; True if truncated."""
-        heap = self.heap
+        heap = self._heap
         while heap:
             time, _, fn, args = heappop(heap)
             if time > budget:
@@ -245,7 +245,7 @@ class _Network:
             delay = net.base_delay
             if net.jitter:
                 delay += rng.randrange(net.jitter + 1)
-            heappush(loop.heap, (loop.now + delay, next(loop.order), deliver, args))
+            loop.at(delay, deliver, args)
 
 
 def _finish(
@@ -305,7 +305,7 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     def emit_msg() -> None:
         sender.execute("msg")
         network.send(receiver_msg, bit)
-        loop.at(cfg.resend_interval, resend, acked)
+        loop.at(cfg.resend_interval, resend, (acked,))
 
     def resend(epoch: int) -> None:
         # Resend epochs are counted in acks: a timer armed before the ack
@@ -371,7 +371,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         if state == "L2":
             finish_round()
         else:
-            loop.at(cfg.retry_interval, retry, current)
+            loop.at(cfg.retry_interval, retry, (current,))
 
     def finish_round() -> None:
         nonlocal current, votes, finished
@@ -384,7 +384,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             return
         current += 1
         votes = {}
-        loop.at(cfg.retry_interval, retry, current)
+        loop.at(cfg.retry_interval, retry, (current,))
 
     def retry(rnd: int) -> None:
         if not finished and rnd == current:

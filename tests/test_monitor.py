@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmon import specs
-from tsmon.model import DecisionDest, decisions_of
+from tsmon.model import decisions_of
 from tsmon.monitor import (
     LogEntry,
     MonitorConfig,
@@ -31,9 +31,7 @@ from tsmon.monitor import (
     write_log,
     write_trace,
 )
-from tsmon.semantics import (
-    EvalError, IllegalActionError, Transitions, fire, initial_config, scope_of, step
-)
+from tsmon.semantics import EvalError, IllegalActionError, initial_config, step
 from tsmon.simnet import AbpConfig, NetConfig, SplitMix64, run_abp
 
 
@@ -321,78 +319,10 @@ class TestFold:
         assert large <= 16 * small, (small, large)
 
 
-
-@st.composite
-def _mutated_walk(draw, spec):
-    """A :func:`_walk` whose events may carry another value (``None``,
-    ``True``, ``False``, a label of the spec or ``1``) or the other direction."""
-    labels = sorted({
-        o for body in spec.typestate.states.values() for br in body.branches()
-        if isinstance(br.dest, DecisionDest) for o in br.dest.outcomes()
-    }, key=repr) or ["bogus"]
-    events = []
-    for ev in draw(_walk(spec)):
-        kind = draw(st.sampled_from(["keep"] * 3 + ["value", "direction", "both"]))
-        if kind in ("value", "both"):
-            ev = ev._replace(value=draw(st.sampled_from([None, True, False, 1, *labels])))
-        if kind in ("direction", "both"):
-            ev = ev._replace(direction="out" if ev.direction == "in" else "in")
-        events.append(ev)
-    return events
-
-
-def _fire_every_event(spec, conf, events):
-    """The monitor loop written with ``fire`` on every event: the final state,
-    scope and counters, and the log, as :func:`run_trace` must give them."""
-    cfg = initial_config(spec)
-    state, scope = cfg.state, scope_of(cfg.store)
-    table = Transitions(spec, cfg.store.vars)
-    n, p, log = {}, {}, []
-    for _, action, direction, value, seq in events:
-        t = table[state, action]
-        try:
-            target, after, _ = fire(t, state, action, value, scope)
-        except (IllegalActionError, EvalError):
-            t = None
-        if t is None or direction != ("in" if t.is_input else "out"):
-            log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
-            continue
-        mu = t.branch.ratio
-        if mu is not None:
-            seen, done = n.get(state, 0), p.get((state, action), 0)
-            observed = (done + 1) / (seen + 1)
-            bound = conf.bound_for(state, action)
-            low, high = mu - bound, mu + bound
-            if seen + 1 < conf.warmup:
-                verdict = VERDICT_WARMUP
-            elif observed < low:
-                verdict = VERDICT_DEVIATION_LOW
-            elif observed > high:
-                verdict = VERDICT_DEVIATION_HIGH
-            else:
-                verdict = VERDICT_OK
-            log.append(LogEntry(state, action, mu, (low, high), observed, verdict, seq))
-            n[state], p[state, action] = seen + 1, done + 1
-        state, scope = target, after
-    return state, scope, n, p, tuple(log)
-
-
-class TestFireEveryEvent:
-    @pytest.mark.parametrize("name", specs.BUNDLED)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_run_trace_equals_fire_on_every_event(self, name, data):
-        # run_trace moves along an effect-free plain transition without
-        # calling fire; this reference calls it for every event, so a unit
-        # action that carries a value stays illegal.
-        spec = specs.load(name)
-        events = data.draw(_mutated_walk(spec))
-        conf = MonitorConfig(error_bound=0.2, warmup=2)
-        result = run_trace(spec, conf, events)
-        final = result.final
-        got = (final.state, scope_of(final.store), final.n, final.p, result.log)
-        assert got == _fire_every_event(spec, conf, events)
-        assert {type(e) for e in result.log} <= {LogEntry}
+class TestVerdictEntries:
+    def test_entries_are_log_entries(self, receiver):
+        log = run_trace(receiver, MonitorConfig(warmup=2), r1_stream(20)).log
+        assert log and {type(e) for e in log} == {LogEntry}
 
     def test_unit_action_with_a_value_is_illegal(self, receiver):
         for value in (True, False, 1, "msg"):

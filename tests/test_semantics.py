@@ -35,8 +35,11 @@ from tsmon.semantics import (
     INT64_MIN,
     StepOutcome,
     TInfo,
+    Transitions,
     VarStore,
+    fire,
     initial_config,
+    scope_of,
     step,
 )
 
@@ -609,3 +612,35 @@ class TestCompileOnce:
         assert result.final.state == "C0"
         assert result.final.store.vars == {"hops": 1600 + 50}
         assert sum(e.verdict == "illegal" for e in result.log) == 2
+
+
+# --------------------------------------------------------------------------
+# fire on an effect-free plain transition returns its target and the scope
+# unchanged, which the simulator relies on to skip the call.
+# --------------------------------------------------------------------------
+
+
+class TestEffectFreeTransitions:
+    @pytest.mark.parametrize("name", specs.BUNDLED)
+    def test_fire_returns_the_target(self, name):
+        spec = specs.load(name)
+        cfg = initial_config(spec)
+        scope = scope_of(cfg.store)
+        table = Transitions(spec, cfg.store.vars)
+        for state, body in spec.typestate.states.items():
+            for branch in body.branches():
+                action = branch.action.name
+                t = table[state, action]
+                if t.effect is None and t.target is not None:
+                    got = fire(t, state, action, None, scope)
+                    assert got == (t.target, scope, True)
+                    assert got[1] is scope
+
+    @pytest.mark.parametrize("name", ["sender", "receiver", "peer"])
+    def test_every_simulated_transition_is_effect_free_and_plain(self, name):
+        spec = specs.load(name)
+        table = Transitions(spec, initial_config(spec).store.vars)
+        for state, body in spec.typestate.states.items():
+            for branch in body.branches():
+                t = table[state, branch.action.name]
+                assert t.effect is None and t.target is not None, (state, branch.action.name)
