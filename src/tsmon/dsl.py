@@ -66,6 +66,7 @@ from .model import (
     StructureError,
     TypeRef,
     Typestate,
+    UNIT,
     Value,
     _MAX_INT_DIGITS,
     outcome_text,
@@ -87,6 +88,7 @@ _KEYWORDS = {
     "boolean",
 }
 _BUILTIN_TYPES = ("unit", "boolean")
+_BUILTIN_TYPE_REFS = {"unit": UNIT, "boolean": TypeRef("boolean")}
 
 # Binary operators by precedence, loosest first; all associate to the left.
 _PREC = {"+": 1, "-": 1, "*": 2}
@@ -175,6 +177,7 @@ class _Parser:
         self.enums: dict[str, tuple[str, ...]] = {}
         self.states: dict[str, StateBody] = {}
         self.state_spans: dict[str, SourceSpan] = {}
+        self.types = dict(_BUILTIN_TYPE_REFS)  # one TypeRef per type named
         self.decl = ""  # the keyword of the declaration being parsed
         # Where each name occurs, keyed by the (role, scope, name) of the
         # StructureError the model would report it with.
@@ -423,10 +426,12 @@ class _Parser:
 
     def parse_type(self) -> TypeRef:
         tok = self.expect_ident("a type", keywords=_BUILTIN_TYPES)
-        if tok[1] in _BUILTIN_TYPES:
-            return TypeRef(tok[1])
-        self.note("enum", tok)
-        return TypeRef("enum", tok[1])
+        if tok[1] not in _BUILTIN_TYPES:
+            self.note("enum", tok)
+        ref = self.types.get(tok[1])
+        if ref is None:
+            ref = self.types[tok[1]] = TypeRef("enum", tok[1])
+        return ref
 
     def parse_branch(self) -> Branch:
         tokens = self.tokens

@@ -9,6 +9,15 @@ All values are immutable after construction and safe to share between
 threads.  Source locations (:class:`SourceSpan`) are carried for diagnostics
 but excluded from structural equality.
 
+Every record class here and in the other modules derives from
+:class:`Record`: it lists its fields in ``__slots__`` and fills them in an
+explicit ``__init__`` with ``object.__setattr__``, after its checks.  The
+base refuses any later assignment or deletion with ``AttributeError`` and
+derives ``==`` (``NotImplemented`` against another class), ``hash`` and a
+``Name(field=value, ...)`` repr from the class's ``_compare`` and ``_repr``
+field names, which default to all of its fields.  Only ``simnet.SimRun``
+allows assignment, and so has no hash.
+
 The constructors own the structural rules of a spec (names resolve, no name
 is both a const and a var, no action, decision outcome or enum label is
 repeated, ratios lie in [0, 1], expressions nest at most
@@ -20,7 +29,7 @@ constant of more than 640 digits raises a plain ``ValueError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Container, Iterable, Optional, Union
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "PlainDest",
     "Predicate",
     "ProtocolSpec",
+    "Record",
     "SourceSpan",
     "SpecError",
     "StateBody",
@@ -143,13 +153,52 @@ def _require_ident(name: str, what: str) -> None:
         raise ValueError(f"{what} {name!r} is not a valid identifier")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+_setattr = object.__setattr__  # fills a record's slots past Record.__setattr__
+
+
+class Record:
+    """Base of the immutable records; see the module docstring."""
+
+    __slots__ = ()
+    _compare: tuple[str, ...]  # the fields that == and hash read
+    _repr: tuple[str, ...]  # the fields repr shows
+
+    def __init_subclass__(cls) -> None:
+        cls._repr = cls.__dict__.get("_repr", cls.__slots__)
+        cls._key = attrgetter(*cls.__dict__.get("_compare", cls.__slots__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        """Rebuild through ``__init__``, so pickle and copy work."""
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class SourceSpan(Record):
     """1-based position of a token in a source file."""
 
-    line: int
-    column: int
-    length: int = 0
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int = 0) -> None:
+        _setattr(self, "line", line)
+        _setattr(self, "column", column)
+        _setattr(self, "length", length)
 
 
 # --------------------------------------------------------------------------
@@ -157,29 +206,31 @@ class SourceSpan:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if abs(self.value) >= _INT_LIMIT:
+    def __init__(self, value: int) -> None:
+        if abs(value) >= _INT_LIMIT:
             raise ValueError("integer literal too long")
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Name(Record):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str) -> None:
+        _setattr(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - *
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.op not in ("+", "-", "*"):
-            raise ValueError(f"unsupported operator {self.op!r}")
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        if op not in ("+", "-", "*"):
+            raise ValueError(f"unsupported operator {op!r}")
+        _setattr(self, "op", op)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
 Expr = Union[IntLit, Name, BinOp]
@@ -206,37 +257,37 @@ def _names_within_depth(key: str, *exprs: Expr) -> list[str]:
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str
-    left: Expr
-    right: Expr
+class Comparison(Record):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.op not in _CMP_OPS:
-            raise ValueError(f"unsupported comparison {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        if op not in _CMP_OPS:
+            raise ValueError(f"unsupported comparison {op!r}")
+        _setattr(self, "op", op)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record):
     """A conjunction of integer comparisons over the internal state."""
 
-    clauses: tuple[Comparison, ...]
+    __slots__ = ("clauses",)
 
-    def __post_init__(self) -> None:
-        if not self.clauses:
+    def __init__(self, clauses: tuple[Comparison, ...]) -> None:
+        if not clauses:
             raise ValueError("predicate needs at least one comparison")
+        _setattr(self, "clauses", clauses)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """A named update rule `target := expr` for one internal variable."""
 
-    target: str
-    expr: Expr
+    __slots__ = ("target", "expr")
 
-    def __post_init__(self) -> None:
-        _require_ident(self.target, "assignment target")
+    def __init__(self, target: str, expr: Expr) -> None:
+        _require_ident(target, "assignment target")
+        _setattr(self, "target", target)
+        _setattr(self, "expr", expr)
 
 
 # --------------------------------------------------------------------------
@@ -244,60 +295,62 @@ class Assignment:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(Record):
     """Return type of an action: unit, boolean, or a declared enumeration."""
 
-    kind: str  # "unit" | "boolean" | "enum"
-    enum_name: Optional[str] = None
+    __slots__ = ("kind", "enum_name")  # kind is "unit", "boolean" or "enum"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("unit", "boolean", "enum"):
-            raise ValueError(f"unknown type kind {self.kind!r}")
-        if self.kind == "enum":
-            if not self.enum_name:
+    def __init__(self, kind: str, enum_name: Optional[str] = None) -> None:
+        if kind not in ("unit", "boolean", "enum"):
+            raise ValueError(f"unknown type kind {kind!r}")
+        if kind == "enum":
+            if not enum_name:
                 raise ValueError("enum type needs an enumeration name")
-            _require_ident(self.enum_name, "enum name")
-        elif self.enum_name is not None:
-            raise ValueError(f"{self.kind} type cannot carry an enum name")
+            _require_ident(enum_name, "enum name")
+        elif enum_name is not None:
+            raise ValueError(f"{kind} type cannot carry an enum name")
+        _setattr(self, "kind", kind)
+        _setattr(self, "enum_name", enum_name)
 
 
 UNIT = TypeRef("unit")
 
 
-@dataclass(frozen=True)
-class ActionSignature:
-    name: str
-    param_types: tuple[str, ...] = ()
-    return_type: TypeRef = UNIT
+class ActionSignature(Record):
+    __slots__ = ("name", "param_types", "return_type")
 
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "action name")
+    def __init__(self, name: str, param_types: tuple[str, ...] = (), return_type: TypeRef = UNIT) -> None:
+        _require_ident(name, "action name")
+        _setattr(self, "name", name)
+        _setattr(self, "param_types", param_types)
+        _setattr(self, "return_type", return_type)
 
 
-@dataclass(frozen=True)
-class PlainDest:
+class PlainDest(Record):
     """Unconditional destination state."""
 
-    state: str
+    __slots__ = ("state",)
+
+    def __init__(self, state: str) -> None:
+        _setattr(self, "state", state)
 
 
-@dataclass(frozen=True)
-class DecisionDest:
+class DecisionDest(Record):
     """Destination chosen by the action's returned value.
 
     ``cases`` is an ordered (outcome, state) sequence; outcomes are booleans
     or enumeration labels and must be pairwise distinct.
     """
 
-    cases: tuple[tuple[Value, str], ...]
+    __slots__ = ("cases",)
 
-    def __post_init__(self) -> None:
-        if not self.cases:
+    def __init__(self, cases: tuple[tuple[Value, str], ...]) -> None:
+        if not cases:
             raise ValueError("decision needs at least one outcome")
-        if any(outcome is None for outcome, _state in self.cases):
+        if any(outcome is None for outcome, _state in cases):
             raise ValueError("decision outcomes cannot be empty")
-        _reject_repeats("outcome", "duplicate decision outcome {!r}", (o for o, _ in self.cases))
+        _reject_repeats("outcome", "duplicate decision outcome {!r}", (o for o, _ in cases))
+        _setattr(self, "cases", cases)
 
     def target(self, outcome: Value) -> Optional[str]:
         """The state ``outcome`` selects, or ``None``.  Matching is type-exact:
@@ -315,8 +368,7 @@ class DecisionDest:
 Destination = Union[PlainDest, DecisionDest]
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """One action offered by a state.
 
     ``ratio`` is the expected share of the state's monitored executions taken
@@ -326,32 +378,39 @@ class Branch:
     predicates gating the transition.
     """
 
-    action: ActionSignature
-    ratio: Optional[float]
-    pre_assigns: tuple[str, ...]
-    preds: tuple[str, ...]
-    dest: Destination
-    post_assigns: tuple[str, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __slots__ = ("action", "ratio", "pre_assigns", "preds", "dest", "post_assigns", "span")
+    _compare = _repr = __slots__[:-1]  # all but the span
 
-    def __post_init__(self) -> None:
-        if self.ratio is not None and not 0.0 <= self.ratio <= 1.0:
-            raise StructureError("range", "ratio", repr(self.ratio), f"ratio {self.ratio!r} outside [0, 1]")
+    def __init__(
+        self, action: ActionSignature, ratio: Optional[float], pre_assigns: tuple[str, ...],
+        preds: tuple[str, ...], dest: Destination, post_assigns: tuple[str, ...] = (),
+        span: Optional[SourceSpan] = None,
+    ) -> None:
+        if ratio is not None and not 0.0 <= ratio <= 1.0:
+            raise StructureError("range", "ratio", repr(ratio), f"ratio {ratio!r} outside [0, 1]")
+        _setattr(self, "action", action)
+        _setattr(self, "ratio", ratio)
+        _setattr(self, "pre_assigns", pre_assigns)
+        _setattr(self, "preds", preds)
+        _setattr(self, "dest", dest)
+        _setattr(self, "post_assigns", post_assigns)
+        _setattr(self, "span", span)
 
 
-@dataclass(frozen=True)
-class StateBody:
+class StateBody(Record):
     """Input and output branches of one state.
 
     Both sides non-empty means a mixed session; both empty is an explicit
     terminal state.  Action names must be unique across the combined set.
     """
 
-    in_branches: tuple[Branch, ...] = ()
-    out_branches: tuple[Branch, ...] = ()
+    __slots__ = ("in_branches", "out_branches")
 
-    def __post_init__(self) -> None:
-        _reject_repeats("action", "duplicate action {!r} in state", (b.action.name for b in self.branches()))
+    def __init__(self, in_branches: tuple[Branch, ...] = (), out_branches: tuple[Branch, ...] = ()) -> None:
+        names = (b.action.name for b in in_branches + out_branches)
+        _reject_repeats("action", "duplicate action {!r} in state", names)
+        _setattr(self, "in_branches", in_branches)
+        _setattr(self, "out_branches", out_branches)
 
     def branches(self) -> tuple[Branch, ...]:
         return self.in_branches + self.out_branches
@@ -371,75 +430,83 @@ class StateBody:
         return not self.in_branches and not self.out_branches
 
 
-@dataclass(frozen=True)
-class Typestate:
+class Typestate(Record):
     """Ordered map of state names to bodies; the first entry is the start."""
 
-    states: dict[str, StateBody]
-    state_spans: dict[str, SourceSpan] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    __slots__ = ("states", "state_spans")
+    _compare = _repr = ("states",)  # not the spans
 
-    def __post_init__(self) -> None:
-        if not self.states:
+    def __init__(
+        self, states: dict[str, StateBody], state_spans: Optional[dict[str, SourceSpan]] = None
+    ) -> None:
+        if not states:
             raise ValueError("typestate needs at least one state")
-        for name in self.states:
+        for name in states:
             _require_ident(name, "state name")
+        _setattr(self, "states", states)
+        _setattr(self, "state_spans", {} if state_spans is None else state_spans)
 
     @property
     def start(self) -> str:
         return next(iter(self.states))
 
 
-@dataclass(frozen=True)
-class InternalStateDecl:
+class InternalStateDecl(Record):
     """Declarations of the internal state and named rules.
 
     ``consts`` are read-only integers, ``vars`` map to initializer
     expressions over constants and literals, ``assigns``/``preds`` are the
     named rules referenced from branches, and ``enums`` declares label sets
-    for enumeration return types.
+    for enumeration return types.  Each defaults to a new empty dict.
     """
 
-    consts: dict[str, int] = field(default_factory=dict)
-    vars: dict[str, Expr] = field(default_factory=dict)
-    assigns: dict[str, Assignment] = field(default_factory=dict)
-    preds: dict[str, Predicate] = field(default_factory=dict)
-    enums: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ("consts", "vars", "assigns", "preds", "enums")
 
-    def __post_init__(self) -> None:
-        if any(abs(value) >= _INT_LIMIT for value in self.consts.values()):
+    def __init__(
+        self, consts: Optional[dict[str, int]] = None, vars: Optional[dict[str, Expr]] = None,
+        assigns: Optional[dict[str, Assignment]] = None, preds: Optional[dict[str, Predicate]] = None,
+        enums: Optional[dict[str, tuple[str, ...]]] = None,
+    ) -> None:
+        consts, vars, assigns, preds, enums = (
+            {} if table is None else table for table in (consts, vars, assigns, preds, enums)
+        )
+        if any(abs(value) >= _INT_LIMIT for value in consts.values()):
             raise ValueError("integer literal too long")
-        _reject_repeats("declaration", "name {!r} declared as both const and var", [*self.consts, *self.vars])
-        declared = self.consts.keys() | self.vars.keys()
-        for name, init in self.vars.items():
+        _reject_repeats("declaration", "name {!r} declared as both const and var", [*consts, *vars])
+        declared = consts.keys() | vars.keys()
+        for name, init in vars.items():
             for ident in _names_within_depth(name, init):
                 why = "initializers may only reference constants, {!r} is a variable"
-                _resolve("constant", ident, self.consts, self.vars, why)
-        for key, assign in self.assigns.items():
+                _resolve("constant", ident, consts, vars, why)
+        for key, assign in assigns.items():
             why = "assignment target {!r} is a constant, not a variable"
-            _resolve("variable", assign.target, self.vars, self.consts, why)
+            _resolve("variable", assign.target, vars, consts, why)
             for ident in _names_within_depth(key, assign.expr):
                 _resolve("name", ident, declared)
-        for key, pred in self.preds.items():
+        for key, pred in preds.items():
             for ident in _names_within_depth(key, *(e for c in pred.clauses for e in (c.left, c.right))):
                 _resolve("name", ident, declared)
-        for name, labels in self.enums.items():
+        for name, labels in enums.items():
             if not labels:
                 raise ValueError(f"enum {name!r} has no labels")
             _reject_repeats("label", "duplicate enum label {!r}", labels, scope=name)
+        _setattr(self, "consts", consts)
+        _setattr(self, "vars", vars)
+        _setattr(self, "assigns", assigns)
+        _setattr(self, "preds", preds)
+        _setattr(self, "enums", enums)
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """One participant: a typestate plus its internal-state declarations."""
+class ProtocolSpec(Record):
+    """One participant: a typestate plus its internal-state declarations,
+    which default to new empty ones."""
 
-    typestate: Typestate
-    internal: InternalStateDecl = field(default_factory=InternalStateDecl)
+    __slots__ = ("typestate", "internal")
 
-    def __post_init__(self) -> None:
-        internal = self.internal
-        for body in self.typestate.states.values():
+    def __init__(self, typestate: Typestate, internal: Optional[InternalStateDecl] = None) -> None:
+        if internal is None:
+            internal = InternalStateDecl()
+        for body in typestate.states.values():
             for br in body.branches():
                 for key in br.pre_assigns + br.post_assigns:
                     _resolve("assign", key, internal.assigns)
@@ -448,6 +515,8 @@ class ProtocolSpec:
                 rt = br.action.return_type
                 if rt.kind == "enum":
                     _resolve("enum", rt.enum_name, internal.enums)
+        _setattr(self, "typestate", typestate)
+        _setattr(self, "internal", internal)
 
 
 # --------------------------------------------------------------------------

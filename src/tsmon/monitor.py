@@ -39,13 +39,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_args
 
 from . import semantics
-from .model import ProtocolSpec, Value
+from .model import ProtocolSpec, Record, Value, _setattr
 from .semantics import (
     EvalError, IllegalActionError, Transitions, VarStore, fire, scope_of, store_of
 )
@@ -94,28 +93,33 @@ _tuple_new = tuple.__new__  # builds a LogEntry without its __new__ call
 _CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Record):
     """Error bounds and warmup threshold for verdict computation.
 
     ``per_action_error`` overrides the global bound for specific
-    (state, action) pairs.  While a state's updated execution count is below
-    ``warmup`` the verdict is ``warmup`` instead of ok/deviation.
+    (state, action) pairs; it defaults to a new empty dict.  While a state's
+    updated execution count is below ``warmup`` the verdict is ``warmup``
+    instead of ok/deviation.
     """
 
-    error_bound: float = 0.1
-    per_action_error: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    warmup: int = 10
+    __slots__ = ("error_bound", "per_action_error", "warmup")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, error_bound: float = 0.1,
+        per_action_error: Optional[Mapping[tuple[str, str], float]] = None, warmup: int = 10,
+    ) -> None:
+        per_action_error = {} if per_action_error is None else per_action_error
         # Written so that NaN fails too: every comparison with it is false.
-        if not 0 < self.error_bound < math.inf:
+        if not 0 < error_bound < math.inf:
             raise ValueError("error bound must be positive and finite")
-        for key, bound in self.per_action_error.items():
+        for key, bound in per_action_error.items():
             if not 0 < bound < math.inf:
                 raise ValueError(f"error bound for {key} must be positive and finite")
-        if self.warmup < 0:
+        if warmup < 0:
             raise ValueError("warmup must be non-negative")
+        _setattr(self, "error_bound", error_bound)
+        _setattr(self, "per_action_error", per_action_error)
+        _setattr(self, "warmup", warmup)
 
     def bound_for(self, state: str, action: str) -> float:
         return self.per_action_error.get((state, action), self.error_bound)
@@ -147,14 +151,18 @@ class LogEntry(NamedTuple):
     event_index: int
 
 
-@dataclass(frozen=True)
-class MTInfo:
+class MTInfo(Record):
     """Monitor configuration: semantics state plus the ``n``/``p`` counters, no log."""
 
-    state: str
-    store: VarStore
-    n: Mapping[str, int]
-    p: Mapping[tuple[str, str], int]
+    __slots__ = ("state", "store", "n", "p")
+
+    def __init__(
+        self, state: str, store: VarStore, n: Mapping[str, int], p: Mapping[tuple[str, str], int]
+    ) -> None:
+        _setattr(self, "state", state)
+        _setattr(self, "store", store)
+        _setattr(self, "n", n)
+        _setattr(self, "p", p)
 
 
 class MonitorRun(NamedTuple):

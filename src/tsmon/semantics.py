@@ -29,7 +29,6 @@ closure that raises the overflow when evaluated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Container, Mapping, NamedTuple, NoReturn, Optional
 
 from .model import (
@@ -41,8 +40,10 @@ from .model import (
     PlainDest,
     Predicate,
     ProtocolSpec,
+    Record,
     SpecError,
     Value,
+    _setattr,
 )
 
 __all__ = [
@@ -75,36 +76,42 @@ class IllegalActionError(SpecError):
     """An action/value pair with no transition in the current state."""
 
 
-@dataclass(frozen=True)
-class VarStore:
+class VarStore(Record):
     """Integer variables plus read-only constants.
 
     The key sets are fixed for the life of a run; updates produce a new
     store with the same constants.
     """
 
-    vars: Mapping[str, int]
-    consts: Mapping[str, int]
+    __slots__ = ("vars", "consts")
+
+    def __init__(self, vars: Mapping[str, int], consts: Mapping[str, int]) -> None:
+        _setattr(self, "vars", vars)
+        _setattr(self, "consts", consts)
 
 
-@dataclass(frozen=True)
-class TInfo:
+class TInfo(Record):
     """A semantics configuration: current state plus internal store."""
 
-    state: str
-    store: VarStore
+    __slots__ = ("state", "store")
+
+    def __init__(self, state: str, store: VarStore) -> None:
+        _setattr(self, "state", state)
+        _setattr(self, "store", store)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(Record):
     """Result of executing one action: the next configuration, whether the
     transition triggered (``False`` keeps the pre-step state), the branch
     that was executed and whether it sits on the state's input side."""
 
-    next: TInfo
-    triggered: bool
-    branch: Branch
-    is_input: bool
+    __slots__ = ("next", "triggered", "branch", "is_input")
+
+    def __init__(self, next: TInfo, triggered: bool, branch: Branch, is_input: bool) -> None:
+        _setattr(self, "next", next)
+        _setattr(self, "triggered", triggered)
+        _setattr(self, "branch", branch)
+        _setattr(self, "is_input", is_input)
 
 
 Scope = dict[str, int]

@@ -31,16 +31,14 @@ vwb → ``peer_vwb(name, round, bit)``, retry timer → ``retry(round)``.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from . import semantics, specs
-from .model import ProtocolSpec
+from .model import ProtocolSpec, Record, _setattr
 from .monitor import DIRECTION_IN, DIRECTION_OUT, TraceEvent, write_trace
 
 __all__ = [
@@ -95,85 +93,102 @@ class SplitMix64:
         return self.next_u64() & 1
 
 
-@dataclass(frozen=True)
-class NetConfig:
+class NetConfig(Record):
     """Unreliable-channel model: per-send loss/duplication and delays."""
 
-    seed: int = 0
-    drop_prob: float = 0.0
-    dup_prob: float = 0.0
-    base_delay: int = 1
-    jitter: int = 0
+    __slots__ = ("seed", "drop_prob", "dup_prob", "base_delay", "jitter")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_prob < 1.0:
+    def __init__(
+        self, seed: int = 0, drop_prob: float = 0.0, dup_prob: float = 0.0, base_delay: int = 1, jitter: int = 0
+    ) -> None:
+        if not 0.0 <= drop_prob < 1.0:
             raise ValueError("drop_prob must be in [0, 1)")
-        if not 0.0 <= self.dup_prob < 1.0:
+        if not 0.0 <= dup_prob < 1.0:
             raise ValueError("dup_prob must be in [0, 1)")
-        if self.base_delay < 0 or self.jitter < 0:
+        if base_delay < 0 or jitter < 0:
             raise ValueError("delays must be non-negative")
+        _setattr(self, "seed", seed)
+        _setattr(self, "drop_prob", drop_prob)
+        _setattr(self, "dup_prob", dup_prob)
+        _setattr(self, "base_delay", base_delay)
+        _setattr(self, "jitter", jitter)
 
 
-@dataclass(frozen=True)
-class AbpConfig:
+class AbpConfig(Record):
     """Alternating-bit run: ``rounds`` bit emissions; the sender resends the
     pending bit every ``resend_interval`` ticks.  ``ack_prob`` below 1 models
-    a lazy receiver that ignores some messages instead of acknowledging."""
+    a lazy receiver that ignores some messages instead of acknowledging.
+    ``net`` defaults to a new ``NetConfig()``."""
 
-    net: NetConfig = field(default_factory=NetConfig)
-    rounds: int = 1
-    resend_interval: int = 10
-    ack_prob: float = 1.0
+    __slots__ = ("net", "rounds", "resend_interval", "ack_prob")
 
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
+    def __init__(
+        self, net: Optional[NetConfig] = None, rounds: int = 1, resend_interval: int = 10, ack_prob: float = 1.0
+    ) -> None:
+        if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.resend_interval < 1:
+        if resend_interval < 1:
             raise ValueError("resend_interval must be >= 1")
-        if not 0.0 < self.ack_prob <= 1.0:
+        if not 0.0 < ack_prob <= 1.0:
             raise ValueError("ack_prob must be in (0, 1]")
+        _setattr(self, "net", NetConfig() if net is None else net)
+        _setattr(self, "rounds", rounds)
+        _setattr(self, "resend_interval", resend_interval)
+        _setattr(self, "ack_prob", ack_prob)
 
 
-@dataclass(frozen=True)
-class BitVoteConfig:
+class BitVoteConfig(Record):
     """Bit-vote run: ``n`` peers, at most ``k`` vote requests per round, a
     new request every ``retry_interval`` ticks while acknowledgements are
     missing.  ``peer_to_leader_drop``, when set, overrides the drop
     probability on the peer-to-leader direction only (and may be 1.0 to cut
-    those links entirely)."""
+    those links entirely).  ``net`` defaults to a new ``NetConfig()``."""
 
-    net: NetConfig = field(default_factory=NetConfig)
-    n: int = 2
-    k: int = 5
-    voting_rounds: int = 1
-    retry_interval: int = 10
-    peer_to_leader_drop: Optional[float] = None
+    __slots__ = ("net", "n", "k", "voting_rounds", "retry_interval", "peer_to_leader_drop")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(
+        self, net: Optional[NetConfig] = None, n: int = 2, k: int = 5, voting_rounds: int = 1,
+        retry_interval: int = 10, peer_to_leader_drop: Optional[float] = None,
+    ) -> None:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.voting_rounds < 1:
+        if voting_rounds < 1:
             raise ValueError("voting_rounds must be >= 1")
-        if self.retry_interval < 1:
+        if retry_interval < 1:
             raise ValueError("retry_interval must be >= 1")
-        if self.peer_to_leader_drop is not None and not 0.0 <= self.peer_to_leader_drop <= 1.0:
+        if peer_to_leader_drop is not None and not 0.0 <= peer_to_leader_drop <= 1.0:
             raise ValueError("peer_to_leader_drop must be in [0, 1]")
+        _setattr(self, "net", NetConfig() if net is None else net)
+        _setattr(self, "n", n)
+        _setattr(self, "k", k)
+        _setattr(self, "voting_rounds", voting_rounds)
+        _setattr(self, "retry_interval", retry_interval)
+        _setattr(self, "peer_to_leader_drop", peer_to_leader_drop)
 
 
-@dataclass
-class SimRun:
-    """Result of one simulation: per-participant traces plus run metadata."""
+class SimRun(Record):
+    """Result of one simulation: per-participant traces plus run metadata.
+    Unlike the other records its fields may be reassigned, so it has no hash."""
 
-    protocol: str
-    traces: dict[str, tuple[TraceEvent, ...]]
-    ticks: int
-    truncated: bool
-    config: object
+    __slots__ = ("protocol", "traces", "ticks", "truncated", "config")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, protocol: str, traces: dict[str, tuple[TraceEvent, ...]], ticks: int, truncated: bool,
+        config: object,
+    ) -> None:
+        self.protocol = protocol
+        self.traces = traces
+        self.ticks = ticks
+        self.truncated = truncated
+        self.config = config
 
     def manifest(self) -> dict:
-        cfg = dataclasses.asdict(self.config)
+        config = self.config
+        cfg = {name: getattr(config, name) for name in config.__slots__}
+        cfg["net"] = {name: getattr(config.net, name) for name in config.net.__slots__}
         return {
             "protocol": self.protocol,
             "seed": cfg["net"]["seed"],

@@ -9,12 +9,12 @@ reference oracles that the index is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .model import (
     PlainDest,
     ProtocolSpec,
+    Record,
     SourceSpan,
     Value,
     actions_of,
@@ -23,6 +23,7 @@ from .model import (
     outcome_text,
     ratios_of,
     resolve_state,
+    _setattr,
 )
 
 __all__ = [
@@ -62,15 +63,21 @@ RULE_ENUMERABLE = "ENUMERABLE-VALUES"
 RULE_TRANSITION_SET = "TRANSITION-SET"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One rule violation, with enough context to point at the source."""
 
-    rule: str
-    state: Optional[str] = None
-    action: Optional[str] = None
-    detail: str = ""
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("rule", "state", "action", "detail", "span")
+    _compare = __slots__[:-1]  # the span is shown but not compared
+
+    def __init__(
+        self, rule: str, state: Optional[str] = None, action: Optional[str] = None, detail: str = "",
+        span: Optional[SourceSpan] = None,
+    ) -> None:
+        _setattr(self, "rule", rule)
+        _setattr(self, "state", state)
+        _setattr(self, "action", action)
+        _setattr(self, "detail", detail)
+        _setattr(self, "span", span)
 
     def message(self) -> str:
         parts = []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tsmon import specs
 from tsmon.dsl import ParseError, _lex, _line_starts, _span, parse_protocol, serialize_protocol
-from tsmon.model import DecisionDest, PlainDest, SourceSpan
+from tsmon.model import UNIT, DecisionDest, PlainDest, SourceSpan, TypeRef
 
 from specgen import chain_spec, mutated_bundled_spec, random_wellformed_spec
 
@@ -67,6 +67,21 @@ class TestParsing:
         )
         dest = spec.typestate.states["A"].in_branches[0].dest
         assert dest.cases == ((True, "B"), (False, "A"))
+
+    def test_one_type_ref_per_type(self):
+        text = (
+            "enum R { yes, no }\nenum S { on, off }\n"
+            "state A = !{ unit a() : A, boolean b() : <true: A, false: A>, R c() : <yes: A, no: A> }"
+            " + ?{ unit d() : A, boolean e() : <true: A, false: A>, R f() : <yes: A, no: A>,"
+            " S g() : <on: A, off: A> }\n"
+        )
+        refs = [br.action.return_type for br in parse_protocol(text).typestate.states["A"].branches()]
+        d, e, f, g, a, b, c = refs  # the input side comes first
+        assert a is d is UNIT and b is e and c is f
+        assert b == TypeRef("boolean") and c == TypeRef("enum", "R") and g == TypeRef("enum", "S")
+        assert len({id(ref) for ref in refs}) == 4
+        again = parse_protocol(text).typestate.states["A"].in_branches[0].action.return_type
+        assert again is UNIT
 
     def test_param_types_recorded(self):
         spec = parse_protocol("state A = !{ unit send(boolean, Payload) : A }\n")
