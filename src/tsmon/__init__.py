@@ -14,7 +14,7 @@ from .model import (
     TypeRef,
     Typestate,
 )
-from .monitor import LogEntry, MonitorConfig, MonitorRun, MTInfo, TraceEvent, monitor_step, run_trace
+from .monitor import LogEntry, Monitor, MonitorConfig, MonitorRun, MTInfo, TraceEvent, run_trace
 from .semantics import StepOutcome, TInfo, VarStore, initial_config, step
 from .simnet import AbpConfig, BitVoteConfig, NetConfig, run_abp, run_bitvote
 from .wellformed import (
@@ -39,6 +39,7 @@ __all__ = [
     "InternalStateDecl",
     "LogEntry",
     "MTInfo",
+    "Monitor",
     "MonitorConfig",
     "MonitorRun",
     "NetConfig",
@@ -59,7 +60,6 @@ __all__ = [
     "check_well_formed",
     "export_dot",
     "initial_config",
-    "monitor_step",
     "parse_protocol",
     "run_abp",
     "run_bitvote",

@@ -11,17 +11,18 @@ session side or fail to evaluate (an int64 overflow in an assignment) are
 logged as illegal and leave the monitor untouched; the monitor never blocks
 transitions.
 
-One loop, ``_resume``, consumes events: :func:`run_trace` runs it over a
-whole trace from the initial configuration and :func:`monitor_step` over a
-single event, so the fold and the trace run cannot drift apart.  It carries
-the state, the variables and the counters itself, compiles each (state,
+One loop, :meth:`Monitor.feed`, consumes events: :func:`run_trace` feeds a
+whole trace to a new :class:`Monitor`, and an online caller feeds the same
+object each event as it arrives, so the two cannot drift apart.  The monitor
+holds the state, the variables and the counters, compiles each (state,
 action) pair it meets once into a :class:`tsmon.semantics.Transitions` table,
 executes each event with :func:`tsmon.semantics.fire`, and takes the session
 side and ratio from the compiled transition.  The log is output, not state:
-the loop appends each entry to its caller's list; :class:`MTInfo` has no log.
+``feed`` returns the entries it made; :class:`MTInfo` has no log.
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
-per line gives.  A writer caches a format string made by ``json.dumps`` per
+per line gives, but that the reader refuses an integer of more than
+``_MAX_INT_DIGITS`` digits.  A writer caches a format string made by ``json.dumps`` per
 distinct value of the fields that repeat from line to line, and fills in
 ``seq``, or ``observed`` and ``event_index``; a line with a field of another
 type is dumped whole.  :func:`read_trace` parses a line in full only when its
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_args
 
 from . import semantics
-from .model import ProtocolSpec, Record, Value, _setattr
+from .model import _MAX_INT_DIGITS, ProtocolSpec, Record, Value, _setattr
 from .semantics import (
     EvalError, IllegalActionError, Transitions, VarStore, fire, scope_of, store_of
 )
@@ -52,6 +53,7 @@ from .semantics import (
 __all__ = [
     "LogEntry",
     "MTInfo",
+    "Monitor",
     "MonitorConfig",
     "MonitorRun",
     "TraceEvent",
@@ -60,9 +62,7 @@ __all__ = [
     "VERDICT_ILLEGAL",
     "VERDICT_OK",
     "VERDICT_WARMUP",
-    "initial_monitor",
     "log_entry_to_json",
-    "monitor_step",
     "read_trace",
     "run_trace",
     "trace_event_from_json",
@@ -152,7 +152,8 @@ class LogEntry(NamedTuple):
 
 
 class MTInfo(Record):
-    """Monitor configuration: semantics state plus the ``n``/``p`` counters, no log."""
+    """A snapshot of a :class:`Monitor`, taken by :meth:`Monitor.config`:
+    semantics state plus the ``n``/``p`` counters, no log."""
 
     __slots__ = ("state", "store", "n", "p")
 
@@ -172,83 +173,79 @@ class MonitorRun(NamedTuple):
     log: tuple[LogEntry, ...]
 
 
-def initial_monitor(spec: ProtocolSpec) -> MTInfo:
-    cfg = semantics.initial_config(spec)
-    return MTInfo(state=cfg.state, store=cfg.store, n={}, p={})
+class Monitor:
+    """The monitor of one trace: :meth:`feed` consumes events as they arrive
+    and :meth:`config` takes a snapshot of the configuration."""
 
+    __slots__ = ("conf", "state", "scope", "_store", "table", "intervals", "n", "p")
 
-def _resume(
-    spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, events: Iterable[TraceEvent],
-    log: list[LogEntry],
-) -> MTInfo:
-    """The monitor loop: consume ``events`` from ``cfg``, appending entries to ``log``.
+    def __init__(self, spec: ProtocolSpec, conf: MonitorConfig) -> None:
+        cfg = semantics.initial_config(spec)
+        self.conf = conf
+        self.state, self._store = cfg.state, cfg.store  # for its names and constants
+        self.scope = scope_of(cfg.store)
+        self.table = Transitions(spec, cfg.store.vars)
+        self.intervals: dict[tuple[str, str], tuple[float, float]] = {}  # shared by entries
+        self.n: dict[str, int] = {}
+        self.p: dict[tuple[str, str], int] = {}
 
-    ``cfg`` is not changed: the counters are copied once and updated in place.
-    """
-    state, store = cfg.state, cfg.store
-    scope = start = scope_of(store)
-    table = Transitions(spec, store.vars)
-    intervals: dict[tuple[str, str], tuple[float, float]] = {}  # shared by a pair's entries
-    n = dict(cfg.n)
-    p = dict(cfg.p)
-    for _, action, direction, value, seq in events:
-        t = table[state, action]
+    def feed(self, events: Iterable[TraceEvent]) -> list[LogEntry]:
+        """Consume ``events``; return the entries they made, at most one each:
+        a verdict for an action with a ratio, ``illegal`` for an event that no
+        transition allows.  If ``events`` raises, the events before it
+        stay consumed."""
+        conf, table, intervals, n, p = self.conf, self.table, self.intervals, self.n, self.p
+        state, scope = self.state, self.scope
+        log: list[LogEntry] = []
         try:
-            target, after, _ = fire(t, state, action, value, scope)
-        except (IllegalActionError, EvalError):
-            t = None
-        if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
-            log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
-            continue
-        mu = t.branch.ratio
-        if mu is not None:
-            n_before = n.get(state, 0)
-            p_before = p.get((state, action), 0)
-            observed = (p_before + 1) / (n_before + 1)
-            interval = intervals.get((state, action))
-            if interval is None:
-                bound = conf.bound_for(state, action)
-                interval = intervals[state, action] = (mu - bound, mu + bound)
-            low, high = interval
-            if n_before + 1 < conf.warmup:
-                verdict = VERDICT_WARMUP
-            elif observed < low:
-                verdict = VERDICT_DEVIATION_LOW
-            elif observed > high:
-                verdict = VERDICT_DEVIATION_HIGH
-            else:
-                verdict = VERDICT_OK
-            log.append(_tuple_new(LogEntry, (state, action, mu, interval, observed, verdict, seq)))
-            n[state] = n_before + 1
-            p[(state, action)] = p_before + 1
-        state, scope = target, after
-    if scope is not start:
-        store = store_of(scope, store)
-    return MTInfo(state, store, n, p)
+            for _, action, direction, value, seq in events:
+                t = table[state, action]
+                try:
+                    target, after, _ = fire(t, state, action, value, scope)
+                except (IllegalActionError, EvalError):
+                    t = None
+                if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
+                    log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
+                    continue
+                mu = t.branch.ratio
+                if mu is not None:
+                    n_before = n.get(state, 0)
+                    p_before = p.get((state, action), 0)
+                    observed = (p_before + 1) / (n_before + 1)
+                    interval = intervals.get((state, action))
+                    if interval is None:
+                        bound = conf.bound_for(state, action)
+                        interval = intervals[state, action] = (mu - bound, mu + bound)
+                    low, high = interval
+                    if n_before + 1 < conf.warmup:
+                        verdict = VERDICT_WARMUP
+                    elif observed < low:
+                        verdict = VERDICT_DEVIATION_LOW
+                    elif observed > high:
+                        verdict = VERDICT_DEVIATION_HIGH
+                    else:
+                        verdict = VERDICT_OK
+                    log.append(_tuple_new(LogEntry, (state, action, mu, interval, observed, verdict, seq)))
+                    n[state] = n_before + 1
+                    p[(state, action)] = p_before + 1
+                state, scope = target, after
+        finally:
+            self.state, self.scope = state, scope
+        return log
 
-
-def monitor_step(
-    spec: ProtocolSpec, cfg: MTInfo, conf: MonitorConfig, ev: TraceEvent
-) -> tuple[MTInfo, tuple[LogEntry, ...]]:
-    """Consume one event; return the next configuration and its 0 or 1 log entries.
-
-    Illegal events (no matching transition, wrong value, a direction that
-    contradicts the branch's session side, or an expression that cannot be
-    evaluated) make an illegal entry and change nothing else.  Legal events
-    advance the semantics; those with a numeric ratio also update the
-    counters and make a verdict entry.  ``cfg`` is not changed.
-    """
-    log: list[LogEntry] = []
-    return _resume(spec, cfg, conf, (ev,), log), tuple(log)
+    def config(self) -> MTInfo:
+        """A snapshot of the configuration, which later feeds do not change."""
+        return MTInfo(self.state, store_of(self.scope, self._store), dict(self.n), dict(self.p))
 
 
 def run_trace(
     spec: ProtocolSpec, conf: MonitorConfig, events: Iterable[TraceEvent]
 ) -> MonitorRun:
-    """Monitor events ordered by ``seq`` from the initial configuration: the
-    last configuration and the joined entries of a :func:`monitor_step` fold."""
-    log: list[LogEntry] = []
-    return MonitorRun(_resume(spec, initial_monitor(spec), conf, events, log), tuple(log))
+    """Monitor events ordered by ``seq`` from the initial configuration: one
+    :meth:`Monitor.feed` of the whole trace, its last configuration and log."""
+    m = Monitor(spec, conf)
+    log = m.feed(events)
+    return MonitorRun(m.config(), tuple(log))
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
             events.append(TraceEvent(*fields, int(tail[:-1])))
         elif line.strip():
             try:
-                ev = trace_event_from_json(json.loads(line))
+                ev = trace_event_from_json(json.loads(line, parse_int=_parse_int))
             except RecursionError:
                 raise ValueError("trace line nests too deeply") from None
             if _SEQ_TAIL.fullmatch(tail):
@@ -356,6 +353,13 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
     if len(participants) > 1:
         raise ValueError(f"events of several participants: {sorted(participants)}")
     return events
+
+
+def _parse_int(text: str) -> int:
+    """A JSON integer with the digit bound of a .tsp literal, whatever ``PYTHONINTMAXSTRDIGITS``."""
+    if len(text.lstrip("-")) > _MAX_INT_DIGITS:
+        raise ValueError(f"integer of more than {_MAX_INT_DIGITS} digits")
+    return int(text)
 
 
 def log_entry_to_json(entry: LogEntry) -> dict:

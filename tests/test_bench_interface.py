@@ -65,3 +65,30 @@ def test_importing_the_cli_leaves_click_out():
         [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), check=True
     )
     assert run.stdout == "False\n"
+
+
+def test_monitor_command_runs_run_trace_once(tmp_path, monkeypatch):
+    # The traced pass times `monitor` through the module attribute
+    # tsmon.monitor.run_trace and counts its events with len(args[2]); a
+    # command that bypassed it would leave the monitor.run_trace.* metrics at 0.
+    import tsmon.cli
+    import tsmon.monitor
+
+    calls = []
+    run_trace = tsmon.monitor.run_trace
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return run_trace(*args)
+
+    monkeypatch.setattr(tsmon.monitor, "run_trace", counting)
+    trace = tmp_path / "receiver.jsonl"
+    trace.write_text(
+        '{"participant": "r", "action": "msg", "dir": "in", "value": null, "seq": 0}\n'
+        '{"participant": "r", "action": "ack", "dir": "out", "value": null, "seq": 1}\n'
+    )
+    args = ["monitor", str(specs.spec_path("receiver")), "--trace", str(trace),
+            "--log", str(tmp_path / "receiver.log")]
+    with pytest.raises(SystemExit):
+        tsmon.cli.main(args, standalone_mode=False)
+    assert calls == [2]

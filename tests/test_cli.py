@@ -415,6 +415,35 @@ class TestMonitor:
         assert line.startswith(f"error: malformed trace {trace}: ")
         assert reported in line
 
+    @pytest.mark.parametrize("limit", [None, "0", "640"])
+    def test_seq_digit_bound_ignores_int_conversion_limit(self, tmp_path, limit):
+        # A trace integer has the 640-digit bound of a .tsp literal, under any
+        # PYTHONINTMAXSTRDIGITS.
+        env = subprocess_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        runs = []
+        for digits in (640, 641):
+            trace = tmp_path / f"seq{digits}.jsonl"
+            trace.write_text(
+                '{"participant": "r", "action": "ack", "dir": "out", "value": null, "seq": '
+                + "9" * digits + "}\n"
+            )
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "tsmon.cli", "monitor", str(spec_path("receiver")),
+                 "--trace", str(trace)],
+                capture_output=True, text=True, env=env,
+            ))
+        assert runs[0].returncode == 1  # ack at R0 is illegal
+        assert json.loads(runs[0].stdout)["event_index"] == int("9" * 640)
+        assert runs[1].returncode == 2
+        assert runs[1].stdout == ""
+        [line] = runs[1].stderr.splitlines()
+        assert line.endswith("seq641.jsonl: integer of more than 640 digits")
+        assert line.startswith("error: malformed trace ")
+        assert all("Traceback" not in run.stdout + run.stderr for run in runs)
+
     def _long_trace(self, tmp_path):
         """A receiver trace of about 5,000 events, whose log spans several writes."""
         run = run_abp(AbpConfig(net=NetConfig(seed=1, drop_prob=0.2), rounds=2_000))

@@ -14,6 +14,7 @@ from tsmon import specs
 from tsmon.model import decisions_of
 from tsmon.monitor import (
     LogEntry,
+    Monitor,
     MonitorConfig,
     TraceEvent,
     VERDICT_DEVIATION_HIGH,
@@ -21,9 +22,7 @@ from tsmon.monitor import (
     VERDICT_ILLEGAL,
     VERDICT_OK,
     VERDICT_WARMUP,
-    initial_monitor,
     log_entry_to_json,
-    monitor_step,
     read_trace,
     run_trace,
     trace_event_from_json,
@@ -51,11 +50,9 @@ def r1_stream(count, first="msg"):
 
 class TestMonitorStep:
     def test_first_event_observed_ratio_is_one(self, receiver):
-        conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(receiver)
-        cfg, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "in", None, 0))
-        assert entries == ()  # R0's msg carries no ratio
-        cfg, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "ack", "out", None, 1))
+        m = Monitor(receiver, MonitorConfig(warmup=0))
+        assert m.feed([TraceEvent("r", "msg", "in", None, 0)]) == []  # R0's msg carries no ratio
+        entries = m.feed([TraceEvent("r", "ack", "out", None, 1)])
         assert [e.observed for e in entries] == [1.0]
 
     def test_hand_computed_four_event_run(self, receiver):
@@ -70,33 +67,39 @@ class TestMonitorStep:
         ]
 
     def test_unmonitored_action_is_opaque(self, peer):
-        conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(peer)
-        cfg, first = monitor_step(peer, cfg, conf, TraceEvent("p", "vreq", "in", None, 0))
-        cfg, second = monitor_step(peer, cfg, conf, TraceEvent("p", "vwb", "in", None, 1))
+        m = Monitor(peer, MonitorConfig(warmup=0))
+        first = m.feed([TraceEvent("p", "vreq", "in", None, 0)])
+        second = m.feed([TraceEvent("p", "vwb", "in", None, 1)])
+        cfg = m.config()
         assert cfg.state == "Pr1"
-        assert cfg.n == {} and first == second == ()
+        assert cfg.n == {} and first == second == []
 
     def test_illegal_event_leaves_monitor_unchanged(self, sender):
-        conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(sender)
-        out, entries = monitor_step(sender, cfg, conf, TraceEvent("s", "ack", "in", None, 0))
-        assert out.state == "S0"
-        assert out.n == cfg.n and out.p == cfg.p
+        m = Monitor(sender, MonitorConfig(warmup=0))
+        before = m.config()
+        entries = m.feed([TraceEvent("s", "ack", "in", None, 0)])
+        assert m.config() == before and before.state == "S0"
         assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
         assert entries[0].mu is None and entries[0].observed is None
 
+    def test_illegal_event_after_counting_leaves_monitor_unchanged(self, receiver):
+        m = Monitor(receiver, MonitorConfig(warmup=0))
+        m.feed(r1_stream(3))
+        before = m.config()
+        assert before.n == {"R1": 3}
+        entries = m.feed([TraceEvent("r", "ack", "in", None, 4)])  # ack is an output
+        assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
+        assert m.config() == before
+
     def test_direction_mismatch_is_illegal(self, receiver):
-        conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(receiver)
-        out, entries = monitor_step(receiver, cfg, conf, TraceEvent("r", "msg", "out", None, 0))
-        assert out.state == "R0"
+        m = Monitor(receiver, MonitorConfig(warmup=0))
+        entries = m.feed([TraceEvent("r", "msg", "out", None, 0)])
+        assert m.config().state == "R0"
         assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
 
     def test_wrong_decision_value_is_illegal(self, auth):
-        conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(auth)
-        _, entries = monitor_step(auth, cfg, conf, TraceEvent("c", "login", "in", "pending", 0))
+        m = Monitor(auth, MonitorConfig(warmup=0))
+        entries = m.feed([TraceEvent("c", "login", "in", "pending", 0)])
         assert [e.verdict for e in entries] == [VERDICT_ILLEGAL]
 
     def test_number_for_boolean_outcome_is_illegal(self, ask):
@@ -268,15 +271,15 @@ def _walk(draw, spec):
     return events
 
 
-def _fold(spec, conf, cfg, events):
-    """Fold ``monitor_step`` over ``events`` from ``cfg``: the last
-    configuration and the entries of all steps, in order."""
+def _fold(monitor, events):
+    """Feed ``events`` to ``monitor`` one at a time: the entries of all
+    feeds, in order."""
     log = []
     for ev in events:
-        cfg, entries = monitor_step(spec, cfg, conf, ev)
-        assert type(entries) is tuple and len(entries) <= 1
+        entries = monitor.feed((ev,))
+        assert type(entries) is list and len(entries) <= 1
         log += entries
-    return cfg, tuple(log)
+    return tuple(log)
 
 
 class TestFold:
@@ -288,18 +291,22 @@ class TestFold:
         k = data.draw(st.integers(0, len(events)))
         conf = MonitorConfig(error_bound=0.2, warmup=2)
         whole = run_trace(spec, conf, events)
-        start = initial_monitor(spec)
-        assert _fold(spec, conf, start, events) == (whole.final, whole.log)
-        prefix = run_trace(spec, conf, events[:k])
-        final, rest = _fold(spec, conf, prefix.final, events[k:])
-        assert (final, prefix.log + rest) == (whole.final, whole.log)
-        # monitor_step left the configurations it was given unchanged.
-        assert start == initial_monitor(spec)
-        assert prefix == run_trace(spec, conf, events[:k])
+        m = Monitor(spec, conf)
+        start = m.config()
+        assert (_fold(m, events), m.config()) == (whole.log, whole.final)
+        # Two feeds of one monitor, split anywhere, give the log of one.
+        m = Monitor(spec, conf)
+        head = m.feed(events[:k])
+        middle = m.config()
+        assert tuple(head + m.feed(events[k:])) == whole.log
+        assert m.config() == whole.final
+        # A snapshot is not changed by later feeds.
+        assert start == Monitor(spec, conf).config()
+        assert middle == run_trace(spec, conf, events[:k]).final
 
     def test_fold_grows_linearly(self, receiver):
-        # Each step costs the same however many came before it: eight times
-        # the events take about eight times as long, and a step that copied
+        # Each feed costs the same however many came before it: eight times
+        # the events take about eight times as long, and a feed that copied
         # the log so far would take about 30 times as long.
         run = run_abp(AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1),
                                 rounds=6000, ack_prob=0.7))
@@ -311,12 +318,28 @@ class TestFold:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                _fold(receiver, conf, initial_monitor(receiver), events[:count])
+                _fold(Monitor(receiver, conf), events[:count])
                 times.append(time.perf_counter() - start)
             return min(times)
 
         small, large = best_of_3(2_000), best_of_3(16_000)
         assert large <= 16 * small, (small, large)
+
+    def test_events_that_raise_keep_what_was_consumed(self, receiver):
+        events = r1_stream(6)
+        conf = MonitorConfig(warmup=0)
+
+        def failing():
+            yield from events[:4]
+            raise ValueError("malformed line")
+
+        m = Monitor(receiver, conf)
+        with pytest.raises(ValueError):
+            m.feed(failing())
+        assert m.config() == run_trace(receiver, conf, events[:4]).final
+        rest = m.feed(events[4:])
+        assert rest == list(run_trace(receiver, conf, events).log[3:])
+        assert m.config() == run_trace(receiver, conf, events).final
 
 
 class TestVerdictEntries:

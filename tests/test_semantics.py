@@ -27,7 +27,7 @@ from tsmon.model import (
     Typestate,
     decisions_of,
 )
-from tsmon.monitor import MonitorConfig, TraceEvent, initial_monitor, monitor_step, run_trace
+from tsmon.monitor import Monitor, MonitorConfig, TraceEvent, run_trace
 from tsmon.semantics import (
     EvalError,
     IllegalActionError,
@@ -595,13 +595,24 @@ class TestCompileOnce:
             step(leader, cfg, "nope")
         assert len(compiled) == 6
 
-    def test_monitor_step_compiles_one_transition_per_call(self, compiled):
+    def test_monitor_feed_compiles_each_pair_at_most_once(self, compiled):
         spec = chain_spec(1600)
+        events = _chain_events(1600)
         conf = MonitorConfig(warmup=0)
-        cfg = initial_monitor(spec)
-        for i, ev in enumerate(_chain_events(1600)[:200], start=1):
-            cfg, _ = monitor_step(spec, cfg, conf, ev)
-            assert len(compiled) == i
+        m = Monitor(spec, conf)
+        log = []
+        for ev in events:
+            log += m.feed((ev,))
+        assert len(compiled) == len(set(compiled)) == 1600 + 1 + 1600 + 1
+        assert (m.config(), tuple(log)) == run_trace(spec, conf, events)
+
+    def test_monitor_feed_takes_a_generator(self):
+        spec = chain_spec(1600)
+        events = _chain_events(1600)
+        conf = MonitorConfig(warmup=0)
+        m = Monitor(spec, conf)
+        log = m.feed(ev for ev in events)
+        assert (m.config(), tuple(log)) == run_trace(spec, conf, events)
 
     def test_run_trace_compiles_each_pair_at_most_once(self, compiled):
         spec = chain_spec(1600)

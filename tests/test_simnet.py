@@ -126,18 +126,16 @@ class TestAbp:
         # The first msg is consumed at R0 and not counted, so the R1 counters
         # balance exactly at every even-indexed monitored event, keeping the
         # observed ratio within 1/(n+1) of 0.5 throughout.
-        from tsmon.monitor import initial_monitor, monitor_step
+        from tsmon.monitor import Monitor
 
         run = run_abp(AbpConfig(net=NetConfig(seed=2), rounds=40))
-        receiver = specs.load("receiver")
-        conf = MonitorConfig(warmup=0)
-        cfg, log = initial_monitor(receiver), []
+        m = Monitor(specs.load("receiver"), MonitorConfig(warmup=0))
+        log = []
         for ev in run.traces["receiver"]:
-            cfg, entries = monitor_step(receiver, cfg, conf, ev)
-            log += entries
-            monitored = cfg.n.get("R1", 0)
+            log += m.feed((ev,))
+            monitored = m.n.get("R1", 0)
             if monitored and monitored % 2 == 0:
-                assert cfg.p[("R1", "msg")] == cfg.p[("R1", "ack")]
+                assert m.p[("R1", "msg")] == m.p[("R1", "ack")]
         for i, entry in enumerate(log):
             assert abs(entry.observed - 0.5) <= 1 / (i + 1) + 1e-12
 
