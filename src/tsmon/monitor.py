@@ -27,8 +27,8 @@ distinct value of the fields that repeat from line to line, and fills in
 ``seq``, or ``observed`` and ``event_index``; a line with a field of another
 type is dumped whole.  :func:`read_trace` parses a line in full only when its
 head (all before ``, "seq": ``) is new, and else reads just the ``seq``.  The
-writers hand a file ``_CHUNK`` lines per ``write`` and the reader takes it a
-line at a time, so neither holds a copy of the whole text.
+writers hand a file ``_CHUNK`` (256) lines per ``write`` and the reader takes
+it a line at a time, so neither holds a copy of the whole text.
 
 :class:`TraceEvent` and :class:`LogEntry` are named tuples: immutable, built
 by position or keyword, read by attribute, index or unpacking, and equal to a
@@ -87,10 +87,10 @@ _VALUE_TYPES = get_args(Value)
 # digits; ``int()`` refuses 4300 by default) and the closing brace.
 _SEQ_TAIL = re.compile(r"-?(?:0|[1-9][0-9]{0,99})\}")
 
-_tuple_new = tuple.__new__  # builds a LogEntry without its __new__ call
+_tuple_new = tuple.__new__  # builds a record without its __new__ call
 
 # Lines per ``write`` of the JSON Lines writers.
-_CHUNK = 2048
+_CHUNK = 256
 
 
 class MonitorConfig(Record):
@@ -296,7 +296,7 @@ def _template(obj: dict, **holes: str) -> str:
 
 
 def _write(target: Union[str, Path, IO[str]], lines: Iterator[str]) -> None:
-    """Write ``lines`` to ``target``, ``_CHUNK`` lines per ``write``.  A path
+    """Write ``lines`` to ``target``, ``_CHUNK`` (256) lines per ``write``.  A path
     is opened as ``Path.write_text`` opens it; if encoding a line raises, the
     chunks written before it stay in the file."""
     if isinstance(target, (str, Path)):
@@ -340,7 +340,7 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
         head, _, tail = line.rpartition(', "seq": ')
         fields = heads.get(head)
         if fields is not None and _SEQ_TAIL.fullmatch(tail):
-            events.append(TraceEvent(*fields, int(tail[:-1])))
+            events.append(_tuple_new(TraceEvent, (*fields, int(tail[:-1]))))
         elif line.strip():
             try:
                 ev = trace_event_from_json(json.loads(line, parse_int=_parse_int))

@@ -265,16 +265,21 @@ class _Network:
 
 def _finish(
     protocol: str, cfg: object, loop: _EventLoop, tick_budget: int,
-    participants: tuple[_Participant, ...],
+    participants: tuple[_Participant, ...], start: Callable[[], None],
 ) -> SimRun:
-    """Run ``loop`` within the tick budget; collect each participant's trace.
+    """Call ``start``, then run ``loop`` within the tick budget; collect each
+    participant's trace.
 
-    The handlers of a run call each other, so they form reference cycles
-    that keep the participants alive until the cycle collector runs; the
-    compiled transitions are released as soon as the run ends instead."""
+    The pending calls and the compiled transitions are released as soon as
+    the run ends.  The handlers of a run call each other through closure
+    cells, and each simulator rebinds them to ``None`` when it returns or
+    raises, so no reference cycle outlives a run: dropping the
+    :class:`SimRun` frees its traces at once, without the cycle collector."""
     try:
+        start()
         truncated = loop.run(tick_budget)
     finally:
+        loop._heap.clear()  # the pending calls hold handlers
         for p in participants:
             p.transitions.clear()
     return SimRun(
@@ -344,8 +349,10 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             bit ^= 1
             emit_msg()
 
-    emit_msg()
-    return _finish("abp", cfg, loop, tick_budget, (sender, receiver))
+    try:
+        return _finish("abp", cfg, loop, tick_budget, (sender, receiver), emit_msg)
+    finally:  # break the cycles through the handlers' closure cells
+        emit_msg = resend = receiver_msg = sender_ack = None
 
 
 # --------------------------------------------------------------------------
@@ -431,8 +438,10 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         peers[name].execute("vwb")
         st["closed"] = rnd
 
-    leader_vreq()
-    return _finish("bitvote", cfg, loop, tick_budget, (leader, *peers.values()))
+    try:
+        return _finish("bitvote", cfg, loop, tick_budget, (leader, *peers.values()), leader_vreq)
+    finally:  # break the cycles through the handlers' closure cells
+        leader_vreq = finish_round = retry = leader_vack = peer_vreq = peer_vwb = None
 
 
 # --------------------------------------------------------------------------

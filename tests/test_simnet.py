@@ -1,5 +1,6 @@
 """Simulation behaviour, determinism, conformance, and quorum safety."""
 
+import gc
 import hashlib
 import json
 import time
@@ -257,6 +258,43 @@ class TestDeterminism:
         a = run_abp(AbpConfig(net=NetConfig(seed=1, drop_prob=0.5), rounds=10))
         b = run_abp(AbpConfig(net=NetConfig(seed=2, drop_prob=0.5), rounds=10))
         assert a.traces != b.traces
+
+
+class TestNoCyclicGarbage:
+    """A run leaves no reference cycle, so dropping its result frees every
+    trace event by reference counting, without the cycle collector."""
+
+    NET = NetConfig(seed=3, drop_prob=0.2, dup_prob=0.1, jitter=1)
+    CRASH = NetConfig(seed=1, drop_prob=0.3)  # a peer in Pr0 gets a vwb
+
+    @pytest.mark.parametrize(
+        "run_fn, cfg, budget, outcome",
+        [(run_abp, AbpConfig(net=NET, rounds=200, ack_prob=0.7), simnet.TICK_BUDGET, False),
+         (run_abp, AbpConfig(net=NET, rounds=2_000, ack_prob=0.7), simnet.TICK_BUDGET, False),
+         (run_abp, AbpConfig(net=NET, rounds=200, ack_prob=0.7), 50, True),
+         (run_bitvote, BitVoteConfig(net=NET, n=3, voting_rounds=10), simnet.TICK_BUDGET, False),
+         (run_bitvote, BitVoteConfig(net=NET, n=3, voting_rounds=100), simnet.TICK_BUDGET, False),
+         (run_bitvote, BitVoteConfig(net=NET, n=3, voting_rounds=100), 50, True),
+         (run_bitvote, BitVoteConfig(net=CRASH, n=3, voting_rounds=8), simnet.TICK_BUDGET,
+          IllegalActionError)],
+        ids=["abp-200", "abp-2000", "abp-truncated", "bitvote-10", "bitvote-100", "bitvote-truncated",
+             "bitvote-crash"],
+    )
+    def test_dropped_run_leaves_no_garbage(self, run_fn, cfg, budget, outcome):
+        def truncated_or_raised():
+            try:
+                return run_fn(cfg, budget).truncated  # the run is dropped here
+            except IllegalActionError:
+                return IllegalActionError
+
+        assert truncated_or_raised() is outcome  # also loads the specs
+        gc.collect()
+        gc.disable()
+        try:
+            assert truncated_or_raised() is outcome
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestManifest:
