@@ -542,16 +542,20 @@ def actions_of(ts: Typestate, state: str) -> frozenset[str]:
     return frozenset(br.action.name for br in body.branches())
 
 
+def _outcomes(br: Branch) -> frozenset[Value]:
+    """Outcome set of a branch: its decision labels, or {None} when plain."""
+    if isinstance(br.dest, DecisionDest):
+        return br.dest.outcomes()
+    return frozenset((None,))
+
+
 def decisions_of(ts: Typestate, state: str, action: str) -> frozenset[Value]:
     """Outcome set of an action: its decision labels, or {None} when plain."""
     body = ts.states.get(state)
     found = body.find(action) if body is not None else None
     if found is None:
         raise UndefinedActionError(f"state {state!r} offers no action {action!r}")
-    dest = found[0].dest
-    if isinstance(dest, DecisionDest):
-        return dest.outcomes()
-    return frozenset((None,))
+    return _outcomes(found[0])
 
 
 def enum_labels(spec: ProtocolSpec, tref: TypeRef) -> frozenset[Value]:

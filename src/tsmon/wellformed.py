@@ -1,28 +1,33 @@
 """Well-formedness rules, the transition set, and graph export.
 
 Violations are collected exhaustively and returned as :class:`Diagnostic`
-values; nothing here raises on a bad spec.  The transition rules run on one
-successor/predecessor index built from the transition set; the brute-force
-searches :func:`is_reachable` and :func:`is_productive` are kept as the
-reference oracles that the index is tested against.
+values; nothing here raises on a bad spec.  The transition rules read the
+transition set once, into the successors and predecessors of each state and
+the successors of each (state, action, value), where a value matches only a
+value of its own type (``1`` is not ``true``); they find a declared branch by
+(state, action) in one map.  So checking a spec and exporting its graph take
+time linear in its branches.  The brute-force searches :func:`is_reachable`
+and :func:`is_productive` are kept as the reference oracles that the index is
+tested against.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Mapping, Optional
 
 from .model import (
+    Branch,
     PlainDest,
     ProtocolSpec,
     Record,
     SourceSpan,
+    Typestate,
     Value,
-    actions_of,
-    decisions_of,
     enum_labels,
     outcome_text,
     ratios_of,
-    resolve_state,
+    _outcomes,
     _setattr,
 )
 
@@ -94,6 +99,13 @@ Transition = tuple[str, str, Value, str]
 TransitionSet = frozenset[Transition]
 
 
+def _state_diagnostic(
+    ts: Typestate, rule: str, state: str, detail: str, action: Optional[str] = None
+) -> Diagnostic:
+    """A violation anchored at a state: it points at the state's declaration."""
+    return Diagnostic(rule, state, action, detail, ts.state_spans.get(state))
+
+
 def _value_key(v: Value) -> str:
     if v is None:
         return ""
@@ -106,6 +118,16 @@ def _value_key(v: Value) -> str:
 
 def _sorted_tuples(trs: TransitionSet) -> list[Transition]:
     return sorted(trs, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3]))
+
+
+def _branches(ts: Typestate) -> dict[tuple[str, str], tuple[Branch, bool]]:
+    """(branch, is_input) of every declared branch, by (state, action)."""
+    return {
+        (state, br.action.name): (br, is_input)
+        for state, body in ts.states.items()
+        for is_input, side in ((True, body.in_branches), (False, body.out_branches))
+        for br in side
+    }
 
 
 def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
@@ -122,17 +144,11 @@ def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
         if ratios:
             total = sum(ratios)
             if abs(total - 1.0) > RATIO_TOLERANCE:
-                diags.append(
-                    Diagnostic(
-                        rule=RULE_RATIO_SUM,
-                        state=state,
-                        detail=f"declared ratios sum to {total!r}, expected 1",
-                        span=ts.state_spans.get(state),
-                    )
-                )
+                detail = f"declared ratios sum to {total!r}, expected 1"
+                diags.append(_state_diagnostic(ts, RULE_RATIO_SUM, state, detail))
         for br in body.branches():
             expected = enum_labels(spec, br.action.return_type)
-            got = decisions_of(ts, state, br.action.name)
+            got = _outcomes(br)
             if got != expected:
                 diags.append(
                     Diagnostic(
@@ -228,9 +244,11 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
 
     succ: dict[str, set[str]] = {}
     pred: dict[str, set[str]] = {}
-    for src, _m, _v, dst in trs:
+    index: dict[tuple[str, str, str], list[str]] = {}  # (state, action, value key) -> successors
+    for src, action, value, dst in trs:
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
+        index.setdefault((src, action, _value_key(value)), []).append(dst)
 
     reachable = _closure([start], succ)
     # Terminal nodes have no outgoing tuple; undeclared (dangling)
@@ -238,120 +256,55 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
     productive = _closure((ts.states.keys() | pred.keys()) - succ.keys(), pred)
     terminal_exists = any(s not in succ for s in ts.states)
     for state in ts.states:
-        span = ts.state_spans.get(state)
         if state not in reachable:
-            diags.append(
-                Diagnostic(
-                    rule=RULE_USEFUL_STATES,
-                    state=state,
-                    detail="not reachable from the start state",
-                    span=span,
-                )
-            )
+            detail = "not reachable from the start state"
+            diags.append(_state_diagnostic(ts, RULE_USEFUL_STATES, state, detail))
         if terminal_exists and state not in productive:
-            diags.append(
-                Diagnostic(
-                    rule=RULE_USEFUL_STATES,
-                    state=state,
-                    detail="cannot reach a terminal state",
-                    span=span,
-                )
-            )
+            detail = "cannot reach a terminal state"
+            diags.append(_state_diagnostic(ts, RULE_USEFUL_STATES, state, detail))
 
-    by_action: dict[tuple[str, str], list[Transition]] = {}
-    for t in _sorted_tuples(trs):
-        by_action.setdefault((t[0], t[1]), []).append(t)
-    for (state, action), tuples in sorted(by_action.items()):
-        targets: dict[str, set[str]] = {}
-        values = set()
-        for _s, _m, v, dst in tuples:
-            targets.setdefault(_value_key(v), set()).add(dst)
-            values.add(v)
-        for vkey, dsts in sorted(targets.items()):
-            if len(dsts) > 1:
-                diags.append(
-                    Diagnostic(
-                        rule=RULE_DETERMINISTIC,
-                        state=state,
-                        action=action,
-                        detail=f"one value maps to several successors {sorted(dsts)}",
-                        span=ts.state_spans.get(state),
-                    )
-                )
-        if None in values and len(values) > 1:
-            diags.append(
-                Diagnostic(
-                    rule=RULE_DETERMINISTIC,
-                    state=state,
-                    action=action,
-                    detail="plain and decision transitions coexist",
-                    span=ts.state_spans.get(state),
-                )
-            )
+    for (state, action), group in groupby(sorted(index.items()), key=lambda item: item[0][:2]):
+        vkeys = []
+        for (_s, _a, vkey), dsts in group:
+            vkeys.append(vkey)
+            targets = sorted(set(dsts))
+            if len(targets) > 1:
+                detail = f"one value maps to several successors {targets}"
+                diags.append(_state_diagnostic(ts, RULE_DETERMINISTIC, state, detail, action))
+        if vkeys[0] == "" and len(vkeys) > 1:  # "" is the key of None, and sorts first
+            detail = "plain and decision transitions coexist"
+            diags.append(_state_diagnostic(ts, RULE_DETERMINISTIC, state, detail, action))
 
     if len(ts.states) > 1:
         neighbours = {n: succ.get(n, set()) | pred.get(n, set()) for n in succ.keys() | pred.keys()}
         connected = _closure([start], neighbours)
         for state in ts.states:
             if state not in connected:
-                diags.append(
-                    Diagnostic(
-                        rule=RULE_WEAK_CONNECTIVITY,
-                        state=state,
-                        detail="disconnected from the rest of the typestate",
-                        span=ts.state_spans.get(state),
-                    )
-                )
+                detail = "disconnected from the rest of the typestate"
+                diags.append(_state_diagnostic(ts, RULE_WEAK_CONNECTIVITY, state, detail))
 
-    keys = {t[:3] for t in trs}
-    for state in ts.states:
-        for action in sorted(actions_of(ts, state)):
-            for value in sorted(decisions_of(ts, state, action), key=_value_key):
-                if (state, action, value) not in keys:
-                    diags.append(
-                        Diagnostic(
-                            rule=RULE_DECISION_TOTALITY,
-                            state=state,
-                            action=action,
-                            detail=f"no transition for outcome {_values_text([value])}",
-                            span=ts.state_spans.get(state),
-                        )
-                    )
+    for state, body in ts.states.items():
+        for br in sorted(body.branches(), key=lambda b: b.action.name):
+            action = br.action.name
+            for value in sorted(_outcomes(br), key=_value_key):
+                if (state, action, _value_key(value)) not in index:
+                    detail = f"no transition for outcome {_values_text([value])}"
+                    diags.append(_state_diagnostic(ts, RULE_DECISION_TOTALITY, state, detail, action))
 
+    branches = _branches(ts)
     for src, action, value, dst in _sorted_tuples(trs):
-        body = ts.states.get(src)
-        found = body.find(action) if body is not None else None
+        found = branches.get((src, action))
         if found is None:
-            diags.append(
-                Diagnostic(
-                    rule=RULE_TRANSITION_SET,
-                    state=src,
-                    action=action,
-                    detail="tuple whose action is not offered by its source state",
-                )
-            )
+            rule, detail = RULE_TRANSITION_SET, "tuple whose action is not offered by its source state"
+        elif isinstance(found[0].dest, PlainDest):
+            if value is None and found[0].dest.state == dst:
+                continue
+            rule, detail = RULE_NON_ENUMERABLE, "tuple disagrees with the plain destination"
+        elif found[0].dest.target(value) == dst:
             continue
-        dest = found[0].dest
-        if isinstance(dest, PlainDest):
-            if value is not None or dest.state != dst:
-                diags.append(
-                    Diagnostic(
-                        rule=RULE_NON_ENUMERABLE,
-                        state=src,
-                        action=action,
-                        detail="tuple disagrees with the plain destination",
-                    )
-                )
         else:
-            if dest.target(value) != dst:
-                diags.append(
-                    Diagnostic(
-                        rule=RULE_ENUMERABLE,
-                        state=src,
-                        action=action,
-                        detail="tuple disagrees with the decision map",
-                    )
-                )
+            rule, detail = RULE_ENUMERABLE, "tuple disagrees with the decision map"
+        diags.append(Diagnostic(rule, src, action, detail))
     return diags
 
 
@@ -378,14 +331,10 @@ def export_dot(spec: ProtocolSpec, trs: TransitionSet) -> str:
     for state in ts.states:
         attr = " [penwidth=2]" if state == ts.start else ""
         lines.append(f"  {_dot_quote(state)}{attr};")
+    branches = _branches(ts)
     for src, action, value, dst in _sorted_tuples(trs):
-        body = resolve_state(ts, src)
-        prefix = ""
-        if not isinstance(body, str):
-            found = body.find(action)
-            if found is not None:
-                prefix = "?" if found[1] else "!"
-        label = f"{prefix}{action}"
+        found = branches.get((src, action))
+        label = action if found is None else ("?" if found[1] else "!") + action
         if value is not None:
             label += f"/{outcome_text(value)}"
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}];")

@@ -5,7 +5,8 @@ decision destinations enumerate exactly the return type's labels, and
 declared ratios are multiples of 1/8 that sum to exactly 1 (dyadic, so the
 float sum is exact).  Reachability and productivity of the generated graphs
 are arbitrary on purpose.  :func:`mutated_bundled_spec` instead draws
-mostly broken source text, for the parse-error contract.
+mostly broken source text, for the parse-error contract, and
+:func:`perturbed_trs` breaks a transition set for :func:`trs_rule_oracle`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from tsmon.model import (
     StateBody,
     TypeRef,
     Typestate,
+    outcome_text,
 )
+from tsmon.wellformed import build_trs
 
 
 def random_wellformed_spec(seed: int, max_states: int = 6) -> ProtocolSpec:
@@ -221,6 +224,14 @@ def overflow_prone_spec(seed: int) -> ProtocolSpec:
     )
 
 
+def wide_spec(n_actions: int) -> ProtocolSpec:
+    """One state ``W`` whose ``n_actions`` input actions each loop back to it."""
+    branches = tuple(
+        Branch(ActionSignature(f"a{i}"), None, (), (), PlainDest("W")) for i in range(n_actions)
+    )
+    return ProtocolSpec(Typestate({"W": StateBody(in_branches=branches)}))
+
+
 def chain_spec(n_states: int) -> ProtocolSpec:
     """States ``C0`` .. ``C<n-1>`` in a line: ``fwd`` (input) moves right and
     counts the step in ``hops``, ``back`` (output, ratio 1) moves left."""
@@ -326,3 +337,88 @@ def fixpoint_weak_component(tuples, start: str) -> set[str]:
                 component |= {src, dst}
                 changed = True
     return component
+
+
+# --------------------------------------------------------------------------
+# Transition-set consistency: perturbations and a brute-force oracle
+# --------------------------------------------------------------------------
+
+# Values a perturbed tuple may carry: none, the booleans, the generator's
+# labels, a foreign label, and the integers that equal the booleans.
+PERTURBED_VALUES = (None, True, False, "c0", "c1", "c2", "zz", 1, 0)
+
+
+def perturbed_trs(spec: ProtocolSpec, rng: random.Random) -> frozenset:
+    """``build_trs(spec)`` with some tuples dropped and up to four added:
+    a built tuple with another value or target, or one from any state
+    (the undeclared ``Zed`` too) by any action (``ghost`` too)."""
+    built = sorted(build_trs(spec), key=repr)
+    states = [*spec.typestate.states, "Zed"]
+    actions = sorted({t[1] for t in built} | {"ghost"})
+    tuples = {t for t in built if rng.random() < 0.8}
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.3 and built:
+            src, action, _value, dst = rng.choice(built)
+            tuples.add((src, action, rng.choice(PERTURBED_VALUES), dst))
+        elif kind < 0.6 and built:
+            src, action, value, _dst = rng.choice(built)
+            tuples.add((src, action, value, rng.choice(states)))
+        else:
+            src, dst = rng.choice(states), rng.choice(states)
+            tuples.add((src, rng.choice(actions), rng.choice(PERTURBED_VALUES), dst))
+    return frozenset(tuples)
+
+
+def _same(a, b) -> bool:
+    """Transition values are equal only with equal types: ``1`` is not ``True``."""
+    return type(a) is type(b) and a == b
+
+
+def trs_rule_oracle(spec: ProtocolSpec, tuples) -> list[tuple[str, str, str, str]]:
+    """The (rule, state, action, detail) violations of the transition set
+    ``tuples`` against ``spec`` under DETERMINISTIC, DECISION-TOTALITY,
+    TRANSITION-SET, NON-ENUMERABLE-VALUES and ENUMERABLE-VALUES, sorted;
+    written from the rule definitions, by search."""
+    states = spec.typestate.states
+    found = []
+    # DETERMINISTIC: one successor per (state, action, value), and no plain
+    # tuple beside decision tuples.
+    for src, action in {t[:2] for t in tuples}:
+        group = [t for t in tuples if t[:2] == (src, action)]
+        values = []
+        for t in group:
+            if not any(_same(t[2], v) for v in values):
+                values.append(t[2])
+        for v in values:
+            targets = sorted({t[3] for t in group if _same(t[2], v)})
+            if len(targets) > 1:
+                detail = f"one value maps to several successors {targets}"
+                found.append(("DETERMINISTIC", src, action, detail))
+        if None in values and len(values) > 1:
+            found.append(("DETERMINISTIC", src, action, "plain and decision transitions coexist"))
+    # DECISION-TOTALITY: each outcome of each declared branch has a tuple.
+    for state, body in states.items():
+        for br in body.branches():
+            action = br.action.name
+            outcomes = [None] if isinstance(br.dest, PlainDest) else [o for o, _ in br.dest.cases]
+            for o in outcomes:
+                if not any(t[:2] == (state, action) and _same(t[2], o) for t in tuples):
+                    detail = f"no transition for outcome {{{outcome_text(o)}}}"
+                    found.append(("DECISION-TOTALITY", state, action, detail))
+    # TRANSITION-SET: a tuple's action is offered by its source state.  A plain
+    # branch allows only (none, its state), NON-ENUMERABLE-VALUES; a decision
+    # branch only its cases, ENUMERABLE-VALUES.
+    for src, action, value, dst in tuples:
+        body = states.get(src)
+        offered = [br for br in body.branches() if br.action.name == action] if body is not None else []
+        if not offered:
+            detail = "tuple whose action is not offered by its source state"
+            found.append(("TRANSITION-SET", src, action, detail))
+        elif isinstance(offered[0].dest, PlainDest):
+            if value is not None or dst != offered[0].dest.state:
+                detail = "tuple disagrees with the plain destination"
+                found.append(("NON-ENUMERABLE-VALUES", src, action, detail))
+        elif not any(_same(value, o) and dst == d for o, d in offered[0].dest.cases):
+            found.append(("ENUMERABLE-VALUES", src, action, "tuple disagrees with the decision map"))
+    return sorted(found)

@@ -1,6 +1,9 @@
 """Well-formedness rules, transition sets, graph predicates, DOT export."""
 
+import gc
 import random
+import time
+from functools import partial
 
 import pytest
 
@@ -30,7 +33,10 @@ from specgen import (
     fixpoint_productive,
     fixpoint_reachable,
     fixpoint_weak_component,
+    perturbed_trs,
     random_wellformed_spec,
+    trs_rule_oracle,
+    wide_spec,
 )
 
 
@@ -237,11 +243,14 @@ class TestTransitionRules:
 
     @pytest.mark.parametrize("value", [1, "yes"])
     def test_tuple_with_foreign_outcome(self, ask, value):
-        # 1 == True in Python, so only a type-exact match flags the first.
+        # 1 == True in Python, so only a type-exact match flags the first and
+        # finds outcome true without a tuple.
         tuples = build_trs(ask) - {("S0", "ask", True, "S1")}
         trs = TransitionSet(tuples | {("S0", "ask", value, "S1")})
         diags = check_transition_rules(ask, trs)
         assert any(d.rule == RULE_ENUMERABLE for d in diags)
+        totality = [d.detail for d in diags if d.rule == RULE_DECISION_TOTALITY]
+        assert totality == ["no transition for outcome {true}"]
 
     def test_tuple_with_wrong_plain_target(self, sender):
         trs = TransitionSet(
@@ -261,6 +270,40 @@ class TestTransitionRules:
         diags = check_transition_rules(sender, trs)
         assert any(d.rule == RULE_TRANSITION_SET for d in diags)
 
+    def test_totality_order_is_declaration_then_name_then_value(self):
+        spec = parse_protocol(
+            "state B = !{ boolean zed() : <true: A, false: A>, unit abe() : A }\n"
+            "state A = ?{ unit m() : B }\n"
+        )
+        diags = check_transition_rules(spec, TransitionSet())
+        assert [(d.state, d.action, d.detail) for d in diags if d.rule == RULE_DECISION_TOTALITY] == [
+            ("B", "abe", "no transition for outcome {none}"),
+            ("B", "zed", "no transition for outcome {false}"),
+            ("B", "zed", "no transition for outcome {true}"),
+            ("A", "m", "no transition for outcome {none}"),
+        ]
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_consistency_rules_agree_with_oracle(self, seed):
+        consistency = (
+            RULE_DETERMINISTIC,
+            RULE_DECISION_TOTALITY,
+            RULE_TRANSITION_SET,
+            RULE_NON_ENUMERABLE,
+            RULE_ENUMERABLE,
+        )
+
+        def got(spec, trs):
+            diags = check_transition_rules(spec, trs)
+            return sorted((d.rule, d.state, d.action, d.detail) for d in diags if d.rule in consistency)
+
+        spec = random_wellformed_spec(seed)
+        assert got(spec, build_trs(spec)) == []
+        rng = random.Random(seed)
+        for _ in range(8):
+            trs = perturbed_trs(spec, rng)
+            assert got(spec, trs) == trs_rule_oracle(spec, trs), sorted(trs, key=repr)
+
     @pytest.mark.parametrize("seed", range(60))
     def test_accepted_specs_are_weakly_connected(self, seed):
         spec = random_wellformed_spec(seed)
@@ -277,6 +320,29 @@ class TestTransitionRules:
     @pytest.mark.parametrize("name", specs.BUNDLED)
     def test_bundled_specs_pass_everything(self, name):
         assert validate(specs.load(name)) == []
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("name", ["validate", "export_dot"])
+    def test_grows_linearly_in_a_states_actions(self, name):
+        # Each branch is looked up once, so eight times the actions take about
+        # eight times as long, ten with the sorts; a search per branch would
+        # take about 64 times as long.  Small and large runs alternate, so a
+        # busy moment on the host slows both, and each starts after a full
+        # collection, whose cost follows the whole process's heap, not the spec.
+        def call(n_actions):
+            spec = wide_spec(n_actions)
+            return partial(validate, spec) if name == "validate" else partial(export_dot, spec, build_trs(spec))
+
+        calls = {n_actions: call(n_actions) for n_actions in (500, 4_000)}
+        best = dict.fromkeys(calls, float("inf"))
+        for _ in range(3):
+            for n_actions, run in calls.items():
+                gc.collect()
+                start = time.perf_counter()
+                run()
+                best[n_actions] = min(best[n_actions], time.perf_counter() - start)
+        assert best[4_000] <= 16 * best[500], best
 
 
 class TestDotExport:
