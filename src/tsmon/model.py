@@ -15,7 +15,9 @@ explicit ``__init__`` with ``object.__setattr__``, after its checks.  The
 base refuses any later assignment or deletion with ``AttributeError`` and
 derives ``==`` (``NotImplemented`` against another class), ``hash`` and a
 ``Name(field=value, ...)`` repr from the class's ``_compare`` and ``_repr``
-field names, which default to all of its fields.  Only ``simnet.SimRun``
+field names, which default to all of its fields.  Pickle and copy rebuild a
+record through ``__init__`` from the fields whose names do not start with
+``_``; such a slot holds data derived from the others.  Only ``simnet.SimRun``
 allows assignment, and so has no hash.
 
 The constructors own the structural rules of a spec (names resolve, no name
@@ -187,7 +189,7 @@ class Record:
 
     def __reduce__(self) -> tuple:
         """Rebuild through ``__init__``, so pickle and copy work."""
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
 
 
 class SourceSpan(Record):
@@ -402,6 +404,7 @@ class StateBody(Record):
 
     Both sides non-empty means a mixed session; both empty is an explicit
     terminal state.  Action names must be unique across the combined set.
+    :meth:`Typestate.find` looks a branch up by (state, action).
     """
 
     __slots__ = ("in_branches", "out_branches")
@@ -415,26 +418,17 @@ class StateBody(Record):
     def branches(self) -> tuple[Branch, ...]:
         return self.in_branches + self.out_branches
 
-    def find(self, action: str) -> Optional[tuple[Branch, bool]]:
-        """Return (branch, is_input) for the named action, if offered."""
-        for br in self.in_branches:
-            if br.action.name == action:
-                return br, True
-        for br in self.out_branches:
-            if br.action.name == action:
-                return br, False
-        return None
-
     @property
     def terminal(self) -> bool:
         return not self.in_branches and not self.out_branches
 
 
 class Typestate(Record):
-    """Ordered map of state names to bodies; the first entry is the start."""
+    """Ordered map of state names to bodies; the first entry is the start.
+    ``==``, hash, repr, pickle and copy leave out the index :meth:`find` fills."""
 
-    __slots__ = ("states", "state_spans")
-    _compare = _repr = ("states",)  # not the spans
+    __slots__ = ("states", "state_spans", "_index")
+    _compare = _repr = ("states",)  # not the spans nor the index
 
     def __init__(
         self, states: dict[str, StateBody], state_spans: Optional[dict[str, SourceSpan]] = None
@@ -445,10 +439,24 @@ class Typestate(Record):
             _require_ident(name, "state name")
         _setattr(self, "states", states)
         _setattr(self, "state_spans", {} if state_spans is None else state_spans)
+        _setattr(self, "_index", None)
 
     @property
     def start(self) -> str:
         return next(iter(self.states))
+
+    def find(self, state: str, action: str) -> Optional[tuple[Branch, bool]]:
+        """(branch, is_input) of ``action`` in ``state``, or ``None`` if the state
+        is undeclared or does not offer it.  The first call fills an index of every
+        branch, so each call is one dict lookup; two first calls at once build equal dicts."""
+        if self._index is None:
+            _setattr(self, "_index", {
+                (name, br.action.name): (br, is_input)
+                for name, body in self.states.items()
+                for is_input, side in ((True, body.in_branches), (False, body.out_branches))
+                for br in side
+            })
+        return self._index.get((state, action))
 
 
 class InternalStateDecl(Record):
@@ -551,8 +559,7 @@ def _outcomes(br: Branch) -> frozenset[Value]:
 
 def decisions_of(ts: Typestate, state: str, action: str) -> frozenset[Value]:
     """Outcome set of an action: its decision labels, or {None} when plain."""
-    body = ts.states.get(state)
-    found = body.find(action) if body is not None else None
+    found = ts.find(state, action)
     if found is None:
         raise UndefinedActionError(f"state {state!r} offers no action {action!r}")
     return _outcomes(found[0])

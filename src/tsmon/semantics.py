@@ -240,8 +240,7 @@ def compile_transition(
     """The transition ``state`` offers for ``action``, or ``None`` (a state
     that is not declared offers none); ``variables`` are the names its
     assignments may write."""
-    body = spec.typestate.states.get(state)
-    found = body.find(action) if body is not None else None
+    found = spec.typestate.find(state, action)
     if found is None:
         return None
     branch, is_input = found

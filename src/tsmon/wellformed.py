@@ -4,11 +4,11 @@ Violations are collected exhaustively and returned as :class:`Diagnostic`
 values; nothing here raises on a bad spec.  The transition rules read the
 transition set once, into the successors and predecessors of each state and
 the successors of each (state, action, value), where a value matches only a
-value of its own type (``1`` is not ``true``); they find a declared branch by
-(state, action) in one map.  So checking a spec and exporting its graph take
-time linear in its branches.  The brute-force searches :func:`is_reachable`
-and :func:`is_productive` are kept as the reference oracles that the index is
-tested against.
+value of its own type (``1`` is not ``true``); they and the graph export find
+a declared branch with :meth:`~tsmon.model.Typestate.find`, one dict lookup.
+So checking a spec and exporting its graph take time linear in its branches.
+The brute-force searches :func:`is_reachable` and :func:`is_productive` are
+kept as the reference oracles that the index is tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from itertools import groupby
 from typing import Iterable, Mapping, Optional
 
 from .model import (
-    Branch,
     PlainDest,
     ProtocolSpec,
     Record,
@@ -118,16 +117,6 @@ def _value_key(v: Value) -> str:
 
 def _sorted_tuples(trs: TransitionSet) -> list[Transition]:
     return sorted(trs, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3]))
-
-
-def _branches(ts: Typestate) -> dict[tuple[str, str], tuple[Branch, bool]]:
-    """(branch, is_input) of every declared branch, by (state, action)."""
-    return {
-        (state, br.action.name): (br, is_input)
-        for state, body in ts.states.items()
-        for is_input, side in ((True, body.in_branches), (False, body.out_branches))
-        for br in side
-    }
 
 
 def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
@@ -291,9 +280,8 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
                     detail = f"no transition for outcome {_values_text([value])}"
                     diags.append(_state_diagnostic(ts, RULE_DECISION_TOTALITY, state, detail, action))
 
-    branches = _branches(ts)
     for src, action, value, dst in _sorted_tuples(trs):
-        found = branches.get((src, action))
+        found = ts.find(src, action)
         if found is None:
             rule, detail = RULE_TRANSITION_SET, "tuple whose action is not offered by its source state"
         elif isinstance(found[0].dest, PlainDest):
@@ -331,9 +319,8 @@ def export_dot(spec: ProtocolSpec, trs: TransitionSet) -> str:
     for state in ts.states:
         attr = " [penwidth=2]" if state == ts.start else ""
         lines.append(f"  {_dot_quote(state)}{attr};")
-    branches = _branches(ts)
     for src, action, value, dst in _sorted_tuples(trs):
-        found = branches.get((src, action))
+        found = ts.find(src, action)
         label = action if found is None else ("?" if found[1] else "!") + action
         if value is not None:
             label += f"/{outcome_text(value)}"

@@ -1,7 +1,7 @@
 """Parsing, diagnostics, and round-trip stability of the .tsp format."""
 
 import re
-import time
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -12,7 +12,8 @@ from tsmon import specs
 from tsmon.dsl import ParseError, _lex, _line_starts, _span, parse_protocol, serialize_protocol
 from tsmon.model import UNIT, DecisionDest, PlainDest, SourceSpan, TypeRef
 
-from specgen import chain_spec, mutated_bundled_spec, random_wellformed_spec
+from growth import assert_grows_linearly
+from specgen import chain_spec, mutated_bundled_spec, random_wellformed_spec, wide_spec
 
 
 class TestParsing:
@@ -432,14 +433,9 @@ class TestParseGrowth:
     def test_parse_grows_linearly(self):
         # Eight times the states take about eight times as long; a rule that
         # rescanned the tokens or lines read so far would take about 64 times.
-        def best_of_3(n_states):
-            text = serialize_protocol(chain_spec(n_states))
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                parse_protocol(text)
-                times.append(time.perf_counter() - start)
-            return min(times)
+        assert_grows_linearly(lambda n: partial(parse_protocol, serialize_protocol(chain_spec(n))), 200)
 
-        small, large = best_of_3(200), best_of_3(1600)
-        assert large <= 16 * small, (small, large)
+    def test_parse_grows_linearly_in_a_states_actions(self):
+        # The same for the actions of one state, which a rule that rescanned
+        # the state's branches so far would make quadratic.
+        assert_grows_linearly(lambda n: partial(parse_protocol, serialize_protocol(wide_spec(n))), 500)

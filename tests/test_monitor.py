@@ -3,7 +3,6 @@
 import io
 import json
 import math
-import time
 import tracemalloc
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmon import specs
-from tsmon.model import decisions_of
+from tsmon.model import ProtocolSpec, Typestate, decisions_of
 from tsmon.monitor import (
     LogEntry,
     Monitor,
@@ -32,6 +31,9 @@ from tsmon.monitor import (
 )
 from tsmon.semantics import EvalError, IllegalActionError, initial_config, step
 from tsmon.simnet import AbpConfig, NetConfig, SplitMix64, run_abp
+
+from growth import assert_grows_linearly
+from specgen import wide_spec
 
 
 def r1_stream(count, first="msg"):
@@ -314,16 +316,23 @@ class TestFold:
         assert len(events) >= 16_000
         conf = MonitorConfig(error_bound=0.05, warmup=20)
 
-        def best_of_3(count):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                _fold(Monitor(receiver, conf), events[:count])
-                times.append(time.perf_counter() - start)
-            return min(times)
+        def prepare(count):
+            head = events[:count]
+            return lambda: _fold(Monitor(receiver, conf), head)
 
-        small, large = best_of_3(2_000), best_of_3(16_000)
-        assert large <= 16 * small, (small, large)
+        assert_grows_linearly(prepare, 2_000)
+
+    def test_feed_grows_linearly_in_a_states_actions(self):
+        # One event for each action of one state: each pair is compiled once,
+        # after a lookup that does not scan the state's branches.  Each call
+        # gets a new typestate, so it also fills the index of Typestate.find.
+        def prepare(n_actions):
+            states = wide_spec(n_actions).typestate.states
+            events = [TraceEvent("w", f"a{i}", "in", None, i) for i in range(n_actions)]
+            return lambda: Monitor(ProtocolSpec(Typestate(states)), MonitorConfig()).feed(events)
+
+        assert prepare(3)() == []  # legal and unmonitored: no entry
+        assert_grows_linearly(prepare, 1_000)
 
     def test_events_that_raise_keep_what_was_consumed(self, receiver):
         events = r1_stream(6)
@@ -375,6 +384,26 @@ class TestJsonl:
             "value": None,
             "seq": 0,
         }
+
+    def test_a_repeated_head_is_parsed_once(self, monkeypatch):
+        loads, calls = json.loads, []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args[0])
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        events = r1_stream(999)  # two heads: msg in and ack out
+        text = io.StringIO()
+        write_trace(text, events)
+        assert read_trace(io.StringIO(text.getvalue())) == events
+        assert len(calls) == 2
+        # A line with a known head but a tail that is not a seq is parsed in full.
+        calls.clear()
+        head = text.getvalue().splitlines()[0].rpartition(', "seq": ')[0]
+        with pytest.raises(ValueError):
+            read_trace(io.StringIO(f'{head}, "seq": 0}}\n{head}, "seq": 01}}\n'))
+        assert len(calls) == 2
 
     def test_log_schema(self, receiver):
         result = run_trace(receiver, MonitorConfig(error_bound=0.25, warmup=0), r1_stream(2))

@@ -207,6 +207,24 @@ def test_reprs_are_the_dataclass_reprs():
     )
 
 
+def test_the_find_index_is_left_out_of_the_record():
+    filled, fresh = specs.load("leader").typestate, specs.load("leader").typestate
+    pairs = [(state, br.action.name) for state, body in fresh.states.items() for br in body.branches()]
+    pairs += [("L1", "nope"), ("Nowhere", "vreq")]
+    found = {pair: filled.find(*pair) for pair in pairs}
+    assert found[("L1", "vack")] == (fresh.states["L1"].in_branches[0], True)
+    assert found[("L1", "vreq")] == (fresh.states["L1"].out_branches[0], False)
+    assert found[("L1", "nope")] is None and found[("Nowhere", "vreq")] is None
+    assert filled == fresh and repr(filled) == repr(fresh)
+    assert _sha(ProtocolSpec(filled, specs.load("leader").internal)) == REPR_SHA256["leader"]
+    with pytest.raises(TypeError, match="unhashable"):  # its states are a dict
+        hash(filled)
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(filled)), copy.copy(filled), copy.deepcopy(filled)):
+        assert twin == filled and repr(twin) == repr(filled)
+        assert {pair: twin.find(*pair) for pair in pairs} == found
+
+
 def _imported(*args):
     """Names of the modules ``python -X importtime ARGS`` imports."""
     run = subprocess.run(

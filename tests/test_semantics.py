@@ -389,9 +389,20 @@ def _old_eval_preds(keys, store, preds):
     return True
 
 
+def _old_find(spec, state, action):
+    """(branch, is_input) of ``action`` in ``state``, or None, by a scan of the
+    state's branches: the oracle does not share ``Typestate.find``'s index."""
+    body = spec.typestate.states.get(state)
+    if body is not None:
+        for is_input, side in ((True, body.in_branches), (False, body.out_branches)):
+            for br in side:
+                if br.action.name == action:
+                    return br, is_input
+    return None
+
+
 def _old_step(spec, cfg, action, value=None):
-    body = spec.typestate.states.get(cfg.state)
-    found = body.find(action) if body is not None else None
+    found = _old_find(spec, cfg.state, action)
     if found is None:
         raise IllegalActionError(f"state {cfg.state!r} offers no action {action!r}")
     branch, is_input = found
@@ -453,7 +464,7 @@ def _differential_walk(spec, store, choose, steps):
         body = spec.typestate.states.get(cfg.state)
         branches = body.branches() if body is not None else ()
         action = choose([br.action.name for br in branches] + ["nope"])
-        found = body.find(action) if body is not None else None
+        found = _old_find(spec, cfg.state, action)
         right = [None]
         if found is not None and not isinstance(found[0].dest, PlainDest):
             right = [o for o, _ in found[0].dest.cases]

@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import json
-import time
+from functools import partial
 
 import pytest
 
@@ -20,6 +20,8 @@ from tsmon.simnet import (
     run_bitvote,
     write_run,
 )
+
+from growth import assert_grows_linearly
 
 
 class TestSplitMix64:
@@ -103,18 +105,11 @@ class TestAbp:
     def test_run_abp_grows_linearly(self):
         # Each event costs the same however many came before it: eight times
         # the rounds take about eight times as long.
-        def best_of_3(rounds):
-            cfg = AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1),
-                            rounds=rounds, ack_prob=0.7)
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                run_abp(cfg)
-                times.append(time.perf_counter() - start)
-            return min(times)
+        def prepare(rounds):
+            net = NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1)
+            return partial(run_abp, AbpConfig(net=net, rounds=rounds, ack_prob=0.7))
 
-        small, large = best_of_3(500), best_of_3(4_000)
-        assert large <= 16 * small, (small, large)
+        assert_grows_linearly(prepare, 500)
 
     def test_lazy_receiver_acks_fewer_msgs(self):
         run = run_abp(AbpConfig(net=NetConfig(seed=9), rounds=50, ack_prob=0.6))

@@ -1,8 +1,6 @@
 """Well-formedness rules, transition sets, graph predicates, DOT export."""
 
-import gc
 import random
-import time
 from functools import partial
 
 import pytest
@@ -29,6 +27,7 @@ from tsmon.wellformed import (
     validate,
 )
 
+from growth import assert_grows_linearly
 from specgen import (
     fixpoint_productive,
     fixpoint_reachable,
@@ -327,22 +326,12 @@ class TestGrowth:
     def test_grows_linearly_in_a_states_actions(self, name):
         # Each branch is looked up once, so eight times the actions take about
         # eight times as long, ten with the sorts; a search per branch would
-        # take about 64 times as long.  Small and large runs alternate, so a
-        # busy moment on the host slows both, and each starts after a full
-        # collection, whose cost follows the whole process's heap, not the spec.
-        def call(n_actions):
+        # take about 64 times as long.
+        def prepare(n_actions):
             spec = wide_spec(n_actions)
             return partial(validate, spec) if name == "validate" else partial(export_dot, spec, build_trs(spec))
 
-        calls = {n_actions: call(n_actions) for n_actions in (500, 4_000)}
-        best = dict.fromkeys(calls, float("inf"))
-        for _ in range(3):
-            for n_actions, run in calls.items():
-                gc.collect()
-                start = time.perf_counter()
-                run()
-                best[n_actions] = min(best[n_actions], time.perf_counter() - start)
-        assert best[4_000] <= 16 * best[500], best
+        assert_grows_linearly(prepare, 500)
 
 
 class TestDotExport:
