@@ -33,16 +33,18 @@ its own recursion stays within the interpreter's stack, an expression may
 nest at most :data:`~tsmon.model.MAX_EXPR_DEPTH` levels, counting each
 parenthesis and each operator on the path from its root to a leaf.
 
-Tokens are plain ``(type, text, offset)`` tuples, one regex match each, and
-a position stays a character offset until a span is needed: only the spans
-the model keeps (state names and branches) and the span of a
-:class:`ParseError` are worked out, by bisecting the offsets of line starts.
+Tokens are plain ``(type, text, offset)`` tuples, one regex match each (a
+comment is a match of its own, which the lexer drops), and a position stays
+a character offset until a span is needed: only the spans the model keeps
+(state names and branches) and the span of a :class:`ParseError` are worked
+out, by bisecting the offsets of line starts.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from sys import intern
 from typing import Callable, Optional, TypeVar
 
 from .model import (
@@ -94,18 +96,19 @@ _BUILTIN_TYPE_REFS = {"unit": UNIT, "boolean": TypeRef("boolean")}
 _PREC = {"+": 1, "-": 1, "*": 2}
 _TIGHTEST = max(_PREC.values())
 
-# One match per token: the whitespace and comments before a token are a prefix
-# of its match, and the match of the empty ``eof`` at the end of the text takes
-# the trailing ones.  The token alternatives are tried in order.  Multi-character
-# operators come first so the longest one wins; explicit ASCII classes keep
-# non-ASCII letters and digits out of identifiers and numbers.  ``1.`` is an
-# int followed by an unexpected ``.``.  Any other character matches ``error``.
+# One match per token, after the blanks before it.  A comment is a match of its
+# own, which the lexer skips; the empty ``eof`` matches at the end of the text.
+# The token alternatives are tried in order.  Multi-character operators come
+# first so the longest one wins; explicit ASCII classes keep non-ASCII letters
+# and digits out of identifiers and numbers.  ``1.`` is an int followed by an
+# unexpected ``.``.  Any other character matches ``error``.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|(?P<comment>//[^\n]*))*"
+    r"[ \t\r\n]*"
     r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>:=|==|!=|<=|>=|&&|[{}\[\]()<>+\-*,;:=!?])"
     r"|(?P<float>[0-9]+\.[0-9]+)"
     r"|(?P<int>[0-9]+)"
-    r"|(?P<punct>:=|==|!=|<=|>=|&&|[{}\[\]()<>+\-*,;:=!?])"
+    r"|(?P<comment>//[^\n]*)"
     r"|(?P<eof>\Z)"
     r"|(?P<error>.))"
 )
@@ -150,10 +153,15 @@ def _lex(text: str) -> list[_Token]:
         # Punctuation and a bare ``_`` are typed by their own text.
         if kind == "punct" or word == "_":
             kind = word
+        elif kind == "ident":
+            word = intern(word)  # one string per name, shared by the tokens and the spec
+        elif kind == "comment":
+            # A comment that ends the text holds the end-of-input offset.
+            if m.end() == len(text):
+                tokens.append(("eof", "", start))
+                break
+            continue
         elif kind == "eof":
-            # A trailing comment does not move the end-of-input offset.
-            if m.end("comment") == start:
-                start = m.start("comment")
             tokens.append((kind, word, start))
             break  # else ``finditer`` matches the empty end once more
         elif kind == "error":
@@ -215,11 +223,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_list(self, item: Callable[[], _T], sep: str = ",", close: Optional[str] = None) -> list[_T]:
-        """``item (sep item)*``, or no item at all when ``close`` is next."""
+    def parse_list(self, item: Callable[[], _T], sep: str = ",") -> list[_T]:
+        """``item (sep item)*``."""
         tokens = self.tokens
-        if tokens[self.pos][0] == close:
-            return []
         items = [item()]
         while tokens[self.pos][0] == sep:
             self.pos += 1
@@ -437,54 +443,76 @@ class _Parser:
         tokens = self.tokens
         rtype = self.parse_type()
         name = self.expect_ident("action name")
-        self.expect("(")
-        params = self.parse_list(
-            lambda: self.expect_ident("a parameter type", keywords=_BUILTIN_TYPES)[1],
-            close=")",
-        )
-        self.expect(")")
+        params = self.parse_names("()", "a parameter type", keywords=_BUILTIN_TYPES)
         ratio: Optional[float] = None
         ratio_tok = tokens[self.pos]
         pre: tuple[str, ...] = ()
         preds: tuple[str, ...] = ()
         if ratio_tok[0] == "[":
-            self.pos += 1
-            ratio_tok = tokens[self.pos]
+            ratio_tok = tokens[self.pos + 1]
             if ratio_tok[0] not in ("_", "int", "float"):
                 raise self.syntax("a ratio or '_'", ratio_tok)
-            self.pos += 1
             if ratio_tok[0] != "_":
                 ratio = float(ratio_tok[1])
-            self.expect(";")
-            pre = self.parse_key_list("assign")
-            self.expect(";")
-            preds = self.parse_key_list("pred")
-            self.expect("]")
-        self.expect(":")
+            if tokens[self.pos + 2][0] != ";":
+                raise self.syntax("';'", tokens[self.pos + 2])
+            self.pos += 3
+            pre = self.parse_names("[]", "assign key", "assign")
+            if tokens[self.pos][0] != ";":
+                raise self.syntax("';'", tokens[self.pos])
+            self.pos += 1
+            preds = self.parse_names("[]", "pred key", "pred")
+            if tokens[self.pos][0] != "]":
+                raise self.syntax("']'", tokens[self.pos])
+            self.pos += 1
+        if tokens[self.pos][0] != ":":
+            raise self.syntax("':'", tokens[self.pos])
+        self.pos += 1
         dest = self.parse_dest()
         post: tuple[str, ...] = ()
         if tokens[self.pos][0] == "[":
-            post = self.parse_key_list("assign")
+            post = self.parse_names("[]", "assign key", "assign")
         try:
             return Branch(
-                action=ActionSignature(name[1], tuple(params), rtype),
+                action=ActionSignature(name[1], params, rtype),
                 ratio=ratio,
                 pre_assigns=pre,
                 preds=preds,
                 dest=dest,
                 post_assigns=post,
-                span=self.span(name),
+                span=_span(self.line_starts, name[2], len(name[1])),
             )
         except StructureError as err:  # a ratio outside [0, 1]
             raise self.located(err, [ratio_tok]) from None
 
-    def parse_key_list(self, kind: str) -> tuple[str, ...]:
-        self.expect("[")
-        keys = self.parse_list(lambda: self.expect_ident(f"{kind} key"), close="]")
-        self.expect("]")
-        for tok in keys:
-            self.note(kind, tok)
-        return tuple(tok[1] for tok in keys)
+    def parse_names(
+        self, brackets: str, what: str, role: str = "", keywords: tuple[str, ...] = ()
+    ) -> tuple[str, ...]:
+        """``name (, name)*`` or nothing, between the two ``brackets``.  A name
+        is an identifier, or one of ``keywords``; ``what`` names it in the
+        error.  With a ``role``, each name is noted as a use in that role."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[0] != brackets[0]:
+            raise self.syntax(repr(brackets[0]), tok)
+        names = []
+        i = self.pos + 1  # at the first name, or at the closing bracket
+        if tokens[i][0] != brackets[1]:
+            while True:
+                tok = tokens[i]
+                if tok[0] != "ident" or (tok[1] in _KEYWORDS and tok[1] not in keywords):
+                    raise self.syntax(what, tok)
+                names.append(tok[1])
+                if role:
+                    self.note(role, tok)
+                i += 2
+                if tokens[i - 1][0] != ",":
+                    break
+            i -= 1
+        if tokens[i][0] != brackets[1]:
+            raise self.syntax(repr(brackets[1]), tokens[i])
+        self.pos = i + 1
+        return tuple(names)
 
     def parse_dest(self) -> Destination:
         if self.tokens[self.pos][0] == "<":

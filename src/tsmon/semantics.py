@@ -213,8 +213,12 @@ def _compile_pred(key: str, preds: Mapping[str, Predicate]) -> Callable[[Scope],
 
 
 def initial_config(spec: ProtocolSpec) -> TInfo:
-    """Start-state configuration with variable initializers evaluated once."""
+    """Start-state configuration with variable initializers evaluated once.
+    A constant or an initial value outside the int64 range raises the overflow."""
     consts = dict(spec.internal.consts)
+    for value in consts.values():
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise _overflow(value)
     values = {name: _compile_expr(init)(consts) for name, init in spec.internal.vars.items()}
     return TInfo(state=spec.typestate.start, store=VarStore(vars=values, consts=consts))
 

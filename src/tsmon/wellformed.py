@@ -6,14 +6,15 @@ transition set once, into the successors and predecessors of each state and
 the successors of each (state, action, value), where a value matches only a
 value of its own type (``1`` is not ``true``); they and the graph export find
 a declared branch with :meth:`~tsmon.model.Typestate.find`, one dict lookup.
-So checking a spec and exporting its graph take time linear in its branches.
+Each rule's findings are sorted, and only the findings are: a spec that
+breaks no rule is checked without a sort.  So checking a spec takes time
+linear in its branches, and exporting its graph adds one sort of its edges.
 The brute-force searches :func:`is_reachable` and :func:`is_productive` are
 kept as the reference oracles that the index is tested against.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable, Mapping, Optional
 
 from .model import (
@@ -115,10 +116,6 @@ def _value_key(v: Value) -> str:
     return f"\x02{v}"
 
 
-def _sorted_tuples(trs: TransitionSet) -> list[Transition]:
-    return sorted(trs, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3]))
-
-
 def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
     """Check the typestate rules; empty result means well-formed.
 
@@ -207,15 +204,17 @@ def is_productive(state: str, trs: TransitionSet) -> bool:
     return False
 
 
-def _closure(seeds: Iterable[str], edges: Mapping[str, Iterable[str]]) -> set[str]:
-    """The seeds plus every node reachable from them along ``edges``."""
+def _closure(seeds: Iterable[str], *edges: Mapping[str, Iterable[str]]) -> set[str]:
+    """The seeds plus every node reachable from them along any of ``edges``."""
     reached = set(seeds)
     frontier = list(reached)
     while frontier:
-        for nxt in edges.get(frontier.pop(), ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+        node = frontier.pop()
+        for nexts in edges:
+            for nxt in nexts.get(node, ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
     return reached
 
 
@@ -234,10 +233,24 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
     succ: dict[str, set[str]] = {}
     pred: dict[str, set[str]] = {}
     index: dict[tuple[str, str, str], list[str]] = {}  # (state, action, value key) -> successors
+    tuple_findings = []  # TRANSITION-SET and the value rules, by tuple
     for src, action, value, dst in trs:
+        vkey = _value_key(value)
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
-        index.setdefault((src, action, _value_key(value)), []).append(dst)
+        index.setdefault((src, action, vkey), []).append(dst)
+        found = ts.find(src, action)
+        if found is None:
+            rule, detail = RULE_TRANSITION_SET, "tuple whose action is not offered by its source state"
+        elif isinstance(found[0].dest, PlainDest):
+            if value is None and found[0].dest.state == dst:
+                continue
+            rule, detail = RULE_NON_ENUMERABLE, "tuple disagrees with the plain destination"
+        elif found[0].dest.target(value) == dst:
+            continue
+        else:
+            rule, detail = RULE_ENUMERABLE, "tuple disagrees with the decision map"
+        tuple_findings.append(((src, action, vkey, dst), rule, detail))
 
     reachable = _closure([start], succ)
     # Terminal nodes have no outgoing tuple; undeclared (dangling)
@@ -252,46 +265,37 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
             detail = "cannot reach a terminal state"
             diags.append(_state_diagnostic(ts, RULE_USEFUL_STATES, state, detail))
 
-    for (state, action), group in groupby(sorted(index.items()), key=lambda item: item[0][:2]):
-        vkeys = []
-        for (_s, _a, vkey), dsts in group:
-            vkeys.append(vkey)
-            targets = sorted(set(dsts))
-            if len(targets) > 1:
-                detail = f"one value maps to several successors {targets}"
-                diags.append(_state_diagnostic(ts, RULE_DETERMINISTIC, state, detail, action))
-        if vkeys[0] == "" and len(vkeys) > 1:  # "" is the key of None, and sorts first
-            detail = "plain and decision transitions coexist"
-            diags.append(_state_diagnostic(ts, RULE_DETERMINISTIC, state, detail, action))
+    # By (state, action): each value with several successors, by value key,
+    # then a plain tuple beside decision tuples ("" is the key of None).
+    det_findings: dict[tuple, str] = {}
+    for (state, action, vkey), dsts in index.items():
+        if len(dsts) > 1:
+            det_findings[state, action, 0, vkey] = f"one value maps to several successors {sorted(set(dsts))}"
+        if vkey and (state, action, "") in index:
+            det_findings[state, action, 1] = "plain and decision transitions coexist"
+    for (state, action, *_), detail in sorted(det_findings.items()):
+        diags.append(_state_diagnostic(ts, RULE_DETERMINISTIC, state, detail, action))
 
     if len(ts.states) > 1:
-        neighbours = {n: succ.get(n, set()) | pred.get(n, set()) for n in succ.keys() | pred.keys()}
-        connected = _closure([start], neighbours)
+        connected = _closure([start], succ, pred)
         for state in ts.states:
             if state not in connected:
                 detail = "disconnected from the rest of the typestate"
                 diags.append(_state_diagnostic(ts, RULE_WEAK_CONNECTIVITY, state, detail))
 
-    for state, body in ts.states.items():
-        for br in sorted(body.branches(), key=lambda b: b.action.name):
-            action = br.action.name
-            for value in sorted(_outcomes(br), key=_value_key):
-                if (state, action, _value_key(value)) not in index:
+    # By declaration of the state, then action name, then value key.
+    totality_findings = []
+    for i, (state, body) in enumerate(ts.states.items()):
+        for br in body.branches():
+            for value in (None,) if isinstance(br.dest, PlainDest) else br.dest.outcomes():
+                vkey = _value_key(value)
+                if (state, br.action.name, vkey) not in index:
                     detail = f"no transition for outcome {_values_text([value])}"
-                    diags.append(_state_diagnostic(ts, RULE_DECISION_TOTALITY, state, detail, action))
+                    totality_findings.append(((i, br.action.name, vkey), state, detail))
+    for (_, action, _), state, detail in sorted(totality_findings):
+        diags.append(_state_diagnostic(ts, RULE_DECISION_TOTALITY, state, detail, action))
 
-    for src, action, value, dst in _sorted_tuples(trs):
-        found = ts.find(src, action)
-        if found is None:
-            rule, detail = RULE_TRANSITION_SET, "tuple whose action is not offered by its source state"
-        elif isinstance(found[0].dest, PlainDest):
-            if value is None and found[0].dest.state == dst:
-                continue
-            rule, detail = RULE_NON_ENUMERABLE, "tuple disagrees with the plain destination"
-        elif found[0].dest.target(value) == dst:
-            continue
-        else:
-            rule, detail = RULE_ENUMERABLE, "tuple disagrees with the decision map"
+    for (src, action, *_), rule, detail in sorted(tuple_findings):
         diags.append(Diagnostic(rule, src, action, detail))
     return diags
 
@@ -319,7 +323,7 @@ def export_dot(spec: ProtocolSpec, trs: TransitionSet) -> str:
     for state in ts.states:
         attr = " [penwidth=2]" if state == ts.start else ""
         lines.append(f"  {_dot_quote(state)}{attr};")
-    for src, action, value, dst in _sorted_tuples(trs):
+    for src, action, value, dst in sorted(trs, key=lambda t: (t[0], t[1], _value_key(t[2]), t[3])):
         found = ts.find(src, action)
         label = action if found is None else ("?" if found[1] else "!") + action
         if value is not None:

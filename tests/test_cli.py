@@ -310,8 +310,9 @@ class TestMonitor:
         [
             "var x = 99999999999999999999\n",
             "const a = 9223372036854775807\nvar x = a + 1\n",
+            "const n = 99999999999999999999\nvar x = 0\npred P: x < n\n",
         ],
-        ids=["literal", "const-plus-one"],
+        ids=["literal", "const-plus-one", "const"],
     )
     def test_initial_value_overflow_is_a_usage_error(self, tmp_path, decls):
         spec = tmp_path / "init.tsp"

@@ -392,6 +392,22 @@ class TestLexer:
     @example("a // a // b")
     @example("x\r\n1. _")
     @example("\u00e9\f")
+    # A comment at the end of the input, with and without what may follow it.
+    @example("a // x\n")
+    @example("a // x  ")
+    @example("a // x\n \t\n")
+    @example("a //")
+    # Two comments in a row.
+    @example("a // x\n// y")
+    @example("a // x\n// y\n")
+    @example("// x // y\n  // z\nb")
+    # A comment between every two tokens.
+    @example("state // 1\nS // 2\n= // 3\n!{ // 4\nunit // 5\nm() // 6\n} // 7")
+    # ``//`` right after a token, with no blank.
+    @example("a// x")
+    @example("a//")
+    @example("1//x\n2.5//y\n_//z")
+    @example("]//c\n:=//d")
     def test_same_tokens_and_errors_as_the_old_lexer(self, text):
         assert _lexed(_lex, text) == _lexed(_old_lex, text)
 

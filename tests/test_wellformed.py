@@ -29,6 +29,7 @@ from tsmon.wellformed import (
 
 from growth import assert_grows_linearly
 from specgen import (
+    chain_spec,
     fixpoint_productive,
     fixpoint_reachable,
     fixpoint_weak_component,
@@ -332,6 +333,11 @@ class TestGrowth:
             return partial(validate, spec) if name == "validate" else partial(export_dot, spec, build_trs(spec))
 
         assert_grows_linearly(prepare, 500)
+
+    def test_validate_grows_linearly_along_a_chain(self):
+        # Reachability, productivity and connectivity each visit a state once,
+        # so 2,000 states take about eight times as long as 250.
+        assert_grows_linearly(lambda n_states: partial(validate, chain_spec(n_states)), 250)
 
 
 class TestDotExport:
