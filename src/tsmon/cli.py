@@ -3,11 +3,17 @@
 Exit codes are a stable contract: 0 success, 1 validation diagnostics or
 monitor deviations found, 2 usage or I/O errors, 3 parse errors.  Standard
 output carries machine-readable results only; diagnostics go to stderr.
+
+``main`` pauses the cyclic garbage collector while its command runs: no
+command builds reference cycles that grow with its input, so reference
+counting frees what it makes.  The pause is process-wide, so it reaches any
+other thread of a host process; the library functions never pause it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -195,7 +201,11 @@ _PARSER = _build_parser()
 
 def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> NoReturn:
     """Run one ``tsmon`` command and exit with its status; usage errors exit 2.
-    ``standalone_mode`` is ignored: perfbench/worker.py still passes it."""
+    ``standalone_mode`` is ignored: perfbench/worker.py still passes it.  The
+    cyclic collector is off while the command runs; every exit, normal or
+    not, turns it back on if it was on when ``main`` was called."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         opts = vars(_PARSER.parse_args(args))
         status = opts.pop("run")(**opts)
@@ -208,6 +218,9 @@ def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> NoRe
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         status = 1
+    finally:
+        if collecting:
+            gc.enable()
     sys.exit(int(status))
 
 

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, output streams, flag handling."""
 
+import contextlib
+import gc
 import io
 import json
 import os
@@ -10,12 +12,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tsmon.cli import _PARSER, main
+from tsmon.dsl import serialize_protocol
 from tsmon.monitor import write_trace
+from tsmon.semantics import IllegalActionError
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
 from tsmon.specs import spec_path
 
 from conftest import run_cli, subprocess_env
-from specgen import mutated_bundled_spec
+from specgen import chain_spec, mutated_bundled_spec
+
+
+RATIO_SUM_SPEC = (
+    "state R0 = ?{ unit msg() : R1 }\n"
+    "state R1 = !{ unit ack() [0.5; []; []] : R1 [] } + ?{ unit msg() [0.4; []; []] : R1 [] }\n"
+)
+
+
+def _ring_spec(tmp_path, n):
+    spec = tmp_path / "ring.tsp"
+    spec.write_text("".join(f"state S{i} = !{{ unit a() : S{(i + 1) % n} }}\n" for i in range(n)))
+    return spec
 
 
 class TestValidate:
@@ -26,11 +43,7 @@ class TestValidate:
 
     def test_ratio_sum_failure(self, tmp_path):
         bad = tmp_path / "bad.tsp"
-        bad.write_text(
-            "state R0 = ?{ unit msg() : R1 }\n"
-            "state R1 = !{ unit ack() [0.5; []; []] : R1 [] }"
-            " + ?{ unit msg() [0.4; []; []] : R1 [] }\n"
-        )
+        bad.write_text(RATIO_SUM_SPEC)
         result = run_cli(["validate", str(bad)])
         assert result.exit_code == 1
         lines = result.stderr.strip().splitlines()
@@ -542,8 +555,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("n", [2, 5000])  # DOT output within, and far beyond, one buffer
     def test_closed_stdout_exits_1_quietly(self, tmp_path, n):
-        spec = tmp_path / "ring.tsp"
-        spec.write_text("".join(f"state S{i} = !{{ unit a() : S{(i + 1) % n} }}\n" for i in range(n)))
+        spec = _ring_spec(tmp_path, n)
         env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)  # buffered, so a small output fails only on flush
         read, write = os.pipe()
@@ -567,3 +579,175 @@ class TestUsage:
         assert result.exit_code == 1
         assert "Aborted!" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def _exit_path(path, tmp_path, monkeypatch):
+    """The arguments that take ``main`` down ``path``, what it ends with (an
+    exit code, or the exception it lets through), and its stdout."""
+    receiver = str(spec_path("receiver"))
+    if path == "ok":
+        return ["validate", receiver], 0, io.StringIO()
+    if path == "findings":
+        (tmp_path / "ratio.tsp").write_text(RATIO_SUM_SPEC)
+        return ["validate", str(tmp_path / "ratio.tsp")], 1, io.StringIO()
+    if path == "fail":
+        return ["validate", str(tmp_path / "missing.tsp")], 2, io.StringIO()
+    if path == "usage":
+        return ["frobnicate"], 2, io.StringIO()
+    if path == "parse":
+        (tmp_path / "broken.tsp").write_text("state = {\n")
+        return ["validate", str(tmp_path / "broken.tsp")], 3, io.StringIO()
+    if path == "broken-pipe":
+        read, write = os.pipe()
+        os.close(read)
+        return ["graph", str(_ring_spec(tmp_path, 5000))], 1, os.fdopen(write, "w")
+    if path == "interrupt":
+        def interrupt(spec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("tsmon.cli.validate", interrupt)
+        return ["validate", receiver], 1, io.StringIO()
+    assert path == "crash"  # a peer in Pr0 receives vwb
+    args = ["simulate", "bitvote", "--n", "3", "--rounds", "3", "--drop", "0.5", "--seed", "5",
+            "--out", str(tmp_path)]
+    return args, IllegalActionError, io.StringIO()
+
+
+def _garbage(call):
+    """How many unreachable objects ``call()`` leaves for the cyclic
+    collector: reference counting frees everything else."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _argparse_error():
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        _PARSER.parse_args(["frobnicate"])
+
+
+# What the standard library leaves in cycles whatever the input: the closures
+# of the pure-Python JSON encoder behind json.dumps(indent=2), which writes
+# the manifest (33 objects on CPython 3.11), and argparse's exit on a usage
+# error (6).  Measured here, since they may differ between Python versions.
+MANIFEST_RESIDUE = _garbage(lambda: json.dumps({"config": {"seed": 1}, "n": [1]}, indent=2))
+USAGE_RESIDUE = _garbage(_argparse_error)
+
+
+def _chain(out, n):
+    spec = out / "chain.tsp"
+    spec.write_text(serialize_protocol(chain_spec(n)))
+    return spec
+
+
+def _receiver_trace(out, n):
+    """A lazy receiver's trace, whose log has deviations."""
+    run = run_abp(AbpConfig(net=NetConfig(seed=1, drop_prob=0.2), rounds=5 * n, ack_prob=0.7))
+    trace = out / "receiver.jsonl"
+    write_trace(trace, run.traces["receiver"])
+    return trace
+
+
+def _with_suffix(path, text):
+    path.write_text(path.read_text() + text)
+    return path
+
+
+# Each command path: its arguments for an input of size n in a directory, its
+# exit code, and the cyclic garbage it leaves, which must not depend on n.
+COMMAND_PATHS = {
+    "validate": (lambda out, n: ["validate", str(_chain(out, n))], 0, 0),
+    "graph-to-file": (lambda out, n: ["graph", str(_chain(out, n)), "--dot", str(out / "g.dot")], 0, 0),
+    "graph-to-stdout": (lambda out, n: ["graph", str(_chain(out, n))], 0, 0),
+    "simulate-abp": (
+        lambda out, n: ["simulate", "abp", "--rounds", str(10 * n), "--drop", "0.2", "--out", str(out)],
+        0,
+        MANIFEST_RESIDUE,
+    ),
+    "simulate-bitvote": (
+        lambda out, n: ["simulate", "bitvote", "--rounds", str(n // 10), "--out", str(out)],
+        0,
+        MANIFEST_RESIDUE,
+    ),
+    "monitor-to-log": (
+        lambda out, n: ["monitor", str(spec_path("receiver")), "--trace", str(_receiver_trace(out, n)),
+                        "--log", str(out / "receiver.log")],
+        1,
+        0,
+    ),
+    "monitor-to-stdout": (
+        lambda out, n: ["monitor", str(spec_path("receiver")), "--trace", str(_receiver_trace(out, n))],
+        1,
+        0,
+    ),
+    "findings-exit-1": (
+        lambda out, n: ["validate", str(_with_suffix(_chain(out, n), "state Orphan = end\n"))], 1, 0
+    ),
+    "malformed-trace-exit-2": (
+        lambda out, n: ["monitor", str(spec_path("receiver")), "--trace",
+                        str(_with_suffix(_receiver_trace(out, n), "{\n"))],
+        2,
+        0,
+    ),
+    "usage-exit-2": (
+        lambda out, n: ["simulate", "abp", *["--rounds", "1"] * n, "--seed", "x"], 2, USAGE_RESIDUE
+    ),
+    "parse-exit-3": (lambda out, n: ["validate", str(_with_suffix(_chain(out, n), "state = {\n"))], 3, 0),
+}
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector while its command runs, and
+    leaves it as it found it.  Reference counting frees what a command
+    makes, because no command path builds cycles that grow with its input."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_collector_is_off_while_a_command_runs(self, monkeypatch):
+        seen = []
+
+        def validate(spec):
+            seen.append(gc.isenabled())
+            return []
+
+        monkeypatch.setattr("tsmon.cli.validate", validate)
+        assert run_cli(["validate", str(spec_path("receiver"))]).exit_code == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "path", ["ok", "findings", "fail", "usage", "parse", "broken-pipe", "interrupt", "crash"]
+    )
+    def test_main_restores_the_collector(self, tmp_path, monkeypatch, path, enabled):
+        args, expected, stdout = _exit_path(path, tmp_path, monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        with stdout, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main(args)
+            except SystemExit as exc:
+                outcome = exc.code
+            except Exception as exc:
+                outcome = type(exc)
+            assert gc.isenabled() is enabled
+        assert outcome == expected
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_PATHS))
+    def test_commands_make_no_cycles_that_grow(self, tmp_path, command):
+        build, status, residue = COMMAND_PATHS[command]
+        found = []
+        for n in (20, 160):
+            out = tmp_path / str(n)
+            out.mkdir()
+            args = build(out, n)
+            assert run_cli(args).exit_code == status  # also loads the specs and fills the caches
+            found.append(_garbage(lambda: run_cli(args)))
+        assert found == [residue, residue]

@@ -629,6 +629,21 @@ class TestStreaming:
             _, peak, held = _traced(write, tmp_path / "out.jsonl", items)
             assert peak - held < 400_000, (count, peak, held)
 
+    def test_read_trace_grows_linearly_in_events(self, tmp_path):
+        def prepare(count):
+            path = tmp_path / f"trace{count}.jsonl"
+            write_trace(path, r1_stream(count))
+            return lambda: read_trace(path)
+
+        assert_grows_linearly(prepare, 4_000)
+
+    def test_write_log_grows_linearly_in_entries(self, tmp_path):
+        def prepare(count):
+            log, path = _receiver_log(count), tmp_path / f"log{count}.jsonl"
+            return lambda: write_log(path, log)
+
+        assert_grows_linearly(prepare, 4_000)
+
     def test_reader_peak_stays_near_what_its_events_hold(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(path, r1_stream(80_000))
