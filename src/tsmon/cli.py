@@ -213,7 +213,8 @@ def main(args: Optional[list[str]] = None, standalone_mode: bool = True) -> NoRe
     except BrokenPipeError:
         # The reader of stdout went away.  Exit 1 quietly, and send what is
         # still buffered to devnull so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         status = 1
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)

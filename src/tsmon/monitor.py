@@ -40,9 +40,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union, get_args
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union, get_args
 
 from . import semantics
 from .model import _MAX_INT_DIGITS, ProtocolSpec, Record, Value, _setattr
@@ -322,6 +322,12 @@ def _trace_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
             yield template % seq
         else:
             yield json.dumps(trace_event_to_json(ev)) + "\n"
+
+
+def _write_heads(target: Union[str, Path, IO[str]], heads: Sequence[tuple]) -> None:
+    """Write the events ``(*heads[i], i)`` as ``write_trace`` writes them, one template per head."""
+    templates = {h: _template(trace_event_to_json(_tuple_new(TraceEvent, (*h, 0))), seq="%d") for h in set(heads)}
+    _write(target, map(str.__mod__, map(templates.__getitem__, heads), count()))
 
 
 def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:

@@ -8,7 +8,8 @@ configuration trajectory.  A transition with no effect and a plain target
 moves to that target without the call, which is what ``fire`` returns for
 it (see :mod:`tsmon.semantics`); all the abp and peer transitions are such.
 Each trace event's direction is the session side of the transition that was
-executed.
+executed.  A participant records one shared head per transition it runs, and
+``SimRun.traces`` builds each :class:`TraceEvent` from its head when it is read.
 Messages that a participant ignores as outdated or duplicated are not action
 executions and do not appear in traces.
 
@@ -35,11 +36,11 @@ import itertools
 import json
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import semantics, specs
 from .model import ProtocolSpec, Record, _setattr
-from .monitor import DIRECTION_IN, DIRECTION_OUT, TraceEvent, write_trace
+from .monitor import DIRECTION_IN, DIRECTION_OUT, TraceEvent, _tuple_new, _write_heads, write_trace
 
 __all__ = [
     "AbpConfig",
@@ -57,8 +58,6 @@ __all__ = [
 TICK_BUDGET = 100_000
 
 _MASK64 = (1 << 64) - 1
-
-_tuple_new = tuple.__new__  # builds a TraceEvent without its __new__ call
 
 
 class SplitMix64:
@@ -176,7 +175,7 @@ class SimRun(Record):
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(
-        self, protocol: str, traces: dict[str, tuple[TraceEvent, ...]], ticks: int, truncated: bool,
+        self, protocol: str, traces: Mapping[str, Sequence[TraceEvent]], ticks: int, truncated: bool,
         config: object,
     ) -> None:
         self.protocol = protocol
@@ -197,6 +196,33 @@ class SimRun(Record):
             "ticks": self.ticks,
             "truncated": self.truncated,
         }
+
+
+class _Trace(Sequence):
+    """A participant's trace, read-only: event ``i`` is built when it is read,
+    from head ``i`` and ``seq=i``.  It equals and prints as a tuple of events."""
+
+    def __init__(self, heads: list[tuple]) -> None:
+        self._heads = heads
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, index):
+        seqs = range(len(self._heads))[index]
+        if isinstance(seqs, range):
+            return tuple(map(self.__getitem__, seqs))
+        return _tuple_new(TraceEvent, (*self._heads[seqs], seqs))
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for seq, head in enumerate(self._heads):
+            yield _tuple_new(TraceEvent, (*head, seq))
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _Trace)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class _EventLoop:
@@ -229,18 +255,21 @@ class _Participant:
         cfg = semantics.initial_config(spec)
         self.state, self.scope = cfg.state, semantics.scope_of(cfg.store)
         self.transitions = semantics.Transitions(spec, cfg.store.vars)
-        self.events: list[TraceEvent] = []
+        self.heads: dict[tuple[str, str], tuple] = {}  # by (state, action)
+        self.events: list[tuple] = []  # the head of each event
 
     def execute(self, action: str) -> str:
         """Execute ``action`` and return the next state."""
-        t = self.transitions[self.state, action]
+        key = self.state, action
+        t = self.transitions[key]
         if t is not None and t.effect is None and t.target is not None:
             self.state = t.target  # what fire returns for it
         else:
             self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
-        events = self.events
-        direction = DIRECTION_IN if t.is_input else DIRECTION_OUT
-        events.append(_tuple_new(TraceEvent, (self.name, action, direction, None, len(events))))
+        head = self.heads.get(key)
+        if head is None:
+            head = self.heads[key] = (self.name, action, DIRECTION_IN if t.is_input else DIRECTION_OUT, None)
+        self.events.append(head)
         return self.state
 
 
@@ -267,13 +296,13 @@ def _finish(
     protocol: str, cfg: object, loop: _EventLoop, tick_budget: int,
     participants: tuple[_Participant, ...], start: Callable[[], None],
 ) -> SimRun:
-    """Call ``start``, then run ``loop`` within the tick budget; collect each
-    participant's trace.
+    """Call ``start``, then run ``loop`` within the tick budget; each trace is
+    a view of the heads its participant recorded, not a copy.
 
     The pending calls and the compiled transitions are released as soon as
-    the run ends.  The handlers of a run call each other through closure
-    cells, and each simulator rebinds them to ``None`` when it returns or
-    raises, so no reference cycle outlives a run: dropping the
+    the run ends; a trace holds none.  The handlers of a run call each other
+    through closure cells, and each simulator rebinds them to ``None`` when
+    it returns or raises, so no reference cycle outlives a run: dropping the
     :class:`SimRun` frees its traces at once, without the cycle collector."""
     try:
         start()
@@ -284,7 +313,7 @@ def _finish(
             p.transitions.clear()
     return SimRun(
         protocol=protocol,
-        traces={p.name: tuple(p.events) for p in participants},
+        traces={p.name: _Trace(p.events) for p in participants},
         ticks=loop.now,
         truncated=truncated,
         config=cfg,
@@ -455,7 +484,11 @@ def write_run(run: SimRun, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in sorted(run.traces):
-        write_trace(out / f"{name}.jsonl", run.traces[name])
+        trace, path = run.traces[name], out / f"{name}.jsonl"
+        if type(trace) is _Trace:
+            _write_heads(path, trace._heads)  # builds no TraceEvent
+        else:
+            write_trace(path, trace)
     manifest = run.manifest()
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -16,6 +16,7 @@ import pytest
 
 from tsmon import specs
 from tsmon.monitor import MonitorConfig, TraceEvent, run_trace
+from tsmon.simnet import AbpConfig, BitVoteConfig, NetConfig, run_abp, run_bitvote
 
 from conftest import subprocess_env
 
@@ -47,6 +48,17 @@ def test_run_trace_result_has_a_log_of_verdicts():
     assert [e.verdict for e in result.log] == ["deviation_high", "illegal", "deviation_high"]
     attrs = _tracing()._attrs("monitor.run_trace", args, result)
     assert attrs == {"events": 4, "illegal": 1, "deviations": 2}
+
+
+def test_simulator_run_counts_every_event():
+    # The pass counts a run's events with len() of each trace; the counts
+    # are those the golden runs wrote when a trace was a tuple of events.
+    abp = run_abp(AbpConfig(net=NetConfig(seed=7, drop_prob=0.2, dup_prob=0.1), rounds=300, ack_prob=0.7))
+    bitvote = run_bitvote(BitVoteConfig(net=NetConfig(seed=2, drop_prob=0.2, dup_prob=0.1), n=3, voting_rounds=10))
+    tracing = _tracing()
+    for run, counts in ((abp, [908, 925]), (bitvote, [42, 32, 28, 29])):
+        assert [sum(1 for _ in trace) for trace in run.traces.values()] == counts
+        assert tracing._attrs("simnet.run", (run.config,), run) == {"events": sum(counts), "ticks": run.ticks}
 
 
 def test_main_exits_with_the_status_of_the_command():

@@ -740,6 +740,18 @@ class TestCollector:
             assert gc.isenabled() is enabled
         assert outcome == expected
 
+    def test_broken_pipe_leaves_no_descriptor_open(self, tmp_path, monkeypatch):
+        # The handler points stdout at devnull and closes what it opened for
+        # that, so repeated calls in one process hold no more descriptors.
+        counts = []
+        for _ in range(3):
+            args, expected, stdout = _exit_path("broken-pipe", tmp_path, monkeypatch)
+            with stdout, contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == expected
+            counts.append(len(os.listdir("/proc/self/fd")))
+        assert counts[1:] == counts[:1] * 2
+
     @pytest.mark.parametrize("command", sorted(COMMAND_PATHS))
     def test_commands_make_no_cycles_that_grow(self, tmp_path, command):
         build, status, residue = COMMAND_PATHS[command]

@@ -21,6 +21,7 @@ from tsmon.monitor import (
     VERDICT_ILLEGAL,
     VERDICT_OK,
     VERDICT_WARMUP,
+    _write_heads,
     log_entry_to_json,
     read_trace,
     run_trace,
@@ -537,6 +538,17 @@ class TestCodecs:
     def test_write_trace_equals_json_dumps(self, events):
         out = io.StringIO()
         write_trace(out, events)
+        assert out.getvalue() == _reference_lines(trace_event_to_json, events)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_events())
+    def test_write_heads_equals_json_dumps(self, events):
+        # A simulated trace is written from the heads of its events, each
+        # event's seq being its index; a head holds a valid event's value.
+        heads = [ev[:4] for ev in events if type(ev.value) in (type(None), bool, str)]
+        out = io.StringIO()
+        _write_heads(out, heads)
+        events = [TraceEvent(*head, i) for i, head in enumerate(heads)]
         assert out.getvalue() == _reference_lines(trace_event_to_json, events)
 
     @settings(max_examples=300, deadline=None)

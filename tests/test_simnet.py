@@ -1,19 +1,22 @@
 """Simulation behaviour, determinism, conformance, and quorum safety."""
 
+import copy
 import gc
 import hashlib
 import json
+import pickle
 from functools import partial
 
 import pytest
 
 from tsmon import simnet, specs
-from tsmon.monitor import MonitorConfig, TraceEvent, VERDICT_ILLEGAL, run_trace
-from tsmon.semantics import IllegalActionError, initial_config, scope_of, step
+from tsmon.monitor import MonitorConfig, TraceEvent, VERDICT_ILLEGAL, run_trace, write_trace
+from tsmon.semantics import IllegalActionError, Transition, initial_config, scope_of, step
 from tsmon.simnet import (
     AbpConfig,
     BitVoteConfig,
     NetConfig,
+    SimRun,
     SplitMix64,
     majority_bit,
     run_abp,
@@ -111,6 +114,13 @@ class TestAbp:
 
         assert_grows_linearly(prepare, 500)
 
+    def test_write_run_grows_linearly_in_events(self, tmp_path):
+        def prepare(rounds):
+            run = run_abp(AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1), rounds=rounds))
+            return partial(write_run, run, tmp_path / str(rounds))
+
+        assert_grows_linearly(prepare, 500)
+
     def test_lazy_receiver_acks_fewer_msgs(self):
         run = run_abp(AbpConfig(net=NetConfig(seed=9), rounds=50, ack_prob=0.6))
         receiver = run.traces["receiver"]
@@ -180,6 +190,22 @@ class TestBitVote:
                 out = step(spec, cfg, ev.action)
                 entered_by_trigger = out.triggered and out.next.state == "L2"
                 cfg = out.next
+
+    def test_run_bitvote_grows_linearly_in_rounds(self):
+        def prepare(rounds):
+            net = NetConfig(seed=5, dup_prob=0.1)
+            return partial(run_bitvote, BitVoteConfig(net=net, n=3, voting_rounds=rounds))
+
+        assert_grows_linearly(prepare, 100)
+
+    def test_run_bitvote_grows_linearly_in_peers(self):
+        # Each round every peer gets a request and a write-back and answers
+        # once, so eight times the peers make about eight times the events.
+        def prepare(n):
+            net = NetConfig(seed=5, dup_prob=0.1)
+            return partial(run_bitvote, BitVoteConfig(net=net, n=n, voting_rounds=50))
+
+        assert_grows_linearly(prepare, 4)
 
     def test_drops_delay_but_terminate(self):
         run = run_bitvote(
@@ -333,6 +359,29 @@ ABP_GRID_DIGEST = "19a67ac42d84e95158a9931dc8b6347f6779cd459a470c6cc99e584fe0a3c
 BITVOTE_GRID_DIGEST = "bf6265bf4277b0b64d99dbdb21a8750b167c9814bbe6f385d69f7c34bfd2fc3e"
 
 
+def _abp_grid():
+    for seed in GRID_SEEDS:
+        for drop, dup in GRID_FAULTS:
+            yield AbpConfig(
+                net=NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3),
+                rounds=200,
+                ack_prob=1.0 if seed % 2 else 0.7,
+            )
+
+
+def _bitvote_grid():
+    for seed in GRID_SEEDS:
+        for drop, dup in GRID_FAULTS:
+            for n in (1, 3):
+                for p2l in (None, 0.5):
+                    yield BitVoteConfig(
+                        net=NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3),
+                        n=n,
+                        voting_rounds=10,
+                        peer_to_leader_drop=p2l,
+                    )
+
+
 def _run_digest(hasher, label, run_fn, cfg):
     """Feed one run's traces, ticks and truncation flag into ``hasher``, or
     the exception's type and message when the run raises."""
@@ -358,32 +407,118 @@ class TestGridDigest:
 
     def test_abp_grid(self):
         hasher = hashlib.sha256()
-        for seed in GRID_SEEDS:
-            for drop, dup in GRID_FAULTS:
-                cfg = AbpConfig(
-                    net=NetConfig(seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3),
-                    rounds=200,
-                    ack_prob=1.0 if seed % 2 else 0.7,
-                )
-                _run_digest(hasher, f"abp {cfg}\n", run_abp, cfg)
+        for cfg in _abp_grid():
+            _run_digest(hasher, f"abp {cfg}\n", run_abp, cfg)
         assert hasher.hexdigest() == ABP_GRID_DIGEST
 
     def test_bitvote_grid(self):
         hasher = hashlib.sha256()
-        for seed in GRID_SEEDS:
-            for drop, dup in GRID_FAULTS:
-                for n in (1, 3):
-                    for p2l in (None, 0.5):
-                        cfg = BitVoteConfig(
-                            net=NetConfig(
-                                seed=seed, drop_prob=drop, dup_prob=dup, jitter=seed % 3
-                            ),
-                            n=n,
-                            voting_rounds=10,
-                            peer_to_leader_drop=p2l,
-                        )
-                        _run_digest(hasher, f"bitvote {cfg}\n", run_bitvote, cfg)
+        for cfg in _bitvote_grid():
+            _run_digest(hasher, f"bitvote {cfg}\n", run_bitvote, cfg)
         assert hasher.hexdigest() == BITVOTE_GRID_DIGEST
+
+
+# The two runs whose CLI outputs tests/test_golden.py pins.
+GOLDEN_RUNS = [
+    (run_abp, AbpConfig(net=NetConfig(seed=7, drop_prob=0.2, dup_prob=0.1), rounds=300, ack_prob=0.7)),
+    (run_bitvote, BitVoteConfig(net=NetConfig(seed=2, drop_prob=0.2, dup_prob=0.1), n=3, voting_rounds=10)),
+]
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, not following types."""
+    found, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in found and not isinstance(obj, type):
+            found[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+class TestTraceView:
+    """A simulated trace is a read-only sequence over one shared head per
+    event; it builds each event when it is read, and it behaves as the tuple
+    of those events."""
+
+    @pytest.fixture
+    def run(self):
+        return run_abp(AbpConfig(net=NetConfig(seed=5, drop_prob=0.2, dup_prob=0.1), rounds=30, ack_prob=0.7))
+
+    def test_reads_as_the_tuple_of_its_events(self, run):
+        for view in run.traces.values():
+            events = tuple(view)
+            n = len(events)
+            assert len(view) == n > 5
+            assert list(view) == list(events) and [e.seq for e in view] == list(range(n))
+            assert {type(e) for e in view} == {TraceEvent}
+            assert [view[i] for i in range(-n, n)] == [events[i] for i in range(-n, n)]
+            assert view[-1] == events[-1] and view[-1].seq == n - 1
+            for part in (slice(None), slice(1, 5), slice(-3, None), slice(2, None, 7), slice(None, None, -1),
+                         slice(n, n + 9)):
+                assert type(view[part]) is tuple and view[part] == events[part]
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[index]
+            with pytest.raises(TypeError):
+                view["0"]
+            assert view.index(events[3]) == 3 and view.count(events[0]) == 1 and events[2] in view
+            assert list(reversed(view)) == list(reversed(events))
+
+    def test_equals_the_tuple_and_prints_as_it(self, run):
+        view, twin = run.traces["receiver"], run_abp(run.config).traces["receiver"]
+        events = tuple(view)
+        assert view == events and events == view and not view != events and not events != view
+        assert view == twin and not view != twin and view is not twin
+        assert view != events[:-1] and view != run.traces["sender"] and view != ()
+        reordered = type(view)([e[:4] for e in reversed(view)])  # a view of the same length
+        assert len(reordered) == len(view) and reordered != view and view != events[1:] + events[:1]
+        assert view != list(events) and list(events) != view  # as a tuple is not a list
+        assert view.__eq__(list(events)) is NotImplemented
+        assert repr(view) == repr(events)
+
+    def test_pickles_and_copies(self, run):
+        view = run.traces["receiver"]
+        twins = [pickle.loads(pickle.dumps(view, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*twins, copy.copy(view), copy.deepcopy(view)):
+            assert type(twin) is type(view) and twin == view and repr(twin) == repr(view)
+        assert pickle.loads(pickle.dumps(run)) == run and copy.deepcopy(run) == run
+
+    def test_holds_one_shared_head_per_transition_and_nothing_compiled(self, run):
+        for name, view in run.traces.items():
+            held = _reachable(view)
+            assert not [obj for obj in held if isinstance(obj, Transition) or callable(obj)]
+            # At most one head per (state, action) pair of the spec, however
+            # many events there are.
+            pairs = sum(len(list(body.branches())) for body in specs.load(name).typestate.states.values())
+            assert sum(type(obj) is tuple for obj in held) <= pairs < len(view)
+
+    def test_write_run_writes_what_write_trace_writes(self, tmp_path):
+        runs = [*GOLDEN_RUNS, *((run_abp, cfg) for cfg in _abp_grid()),
+                *((run_bitvote, cfg) for cfg in _bitvote_grid())]
+        written = 0
+        for i, (run_fn, cfg) in enumerate(runs):
+            try:
+                run = run_fn(cfg)
+            except IllegalActionError:
+                continue  # the known vwb crash
+            write_run(run, tmp_path / str(i))
+            for name, view in run.traces.items():
+                write_trace(tmp_path / "expected.jsonl", tuple(view))
+                got = (tmp_path / str(i) / f"{name}.jsonl").read_bytes()
+                assert got == (tmp_path / "expected.jsonl").read_bytes(), (cfg, name)
+                written += 1
+        assert written > 400
+
+    def test_a_run_built_by_hand_writes_the_same_files(self, tmp_path):
+        # write_run writes a simulated trace from its heads and any other
+        # sequence of events through write_trace; both give the same bytes.
+        run = GOLDEN_RUNS[1][0](GOLDEN_RUNS[1][1])
+        traces = {name: tuple(view) for name, view in run.traces.items()}
+        by_hand = SimRun(run.protocol, traces, run.ticks, run.truncated, run.config)
+        assert write_run(run, tmp_path / "view") == write_run(by_hand, tmp_path / "tuple")
+        for name in ("manifest.json", *(f"{name}.jsonl" for name in traces)):
+            assert (tmp_path / "view" / name).read_bytes() == (tmp_path / "tuple" / name).read_bytes()
 
 
 
