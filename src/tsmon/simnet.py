@@ -14,13 +14,17 @@ Messages that a participant ignores as outdated or duplicated are not action
 executions and do not appear in traces.
 
 Randomness comes from SplitMix64 so runs are reproducible bit for bit from
-the seed, also across reimplementations.  Stream layout: a master generator
-is seeded with the configured seed; the network stream is split off first
-(``master.next_u64()`` seeds it), then one behaviour stream per consumer in
-a fixed order (the ABP receiver's laziness stream; each bit-vote peer's vote
-stream in peer order).  Per message send the network stream draws, in order:
-the drop decision, the duplication decision, then, when jitter is non-zero,
-one delay draw per delivered copy.  Broadcasts send to peers in id order.
+the seed, also across reimplementations.  A generator mixes its outputs a
+block at a time, 16 at first and twice as many per block up to 256, and
+hands them out one per draw: the same bits as one mix per draw.
+
+Stream layout: a master generator is seeded with the configured seed; the
+network stream is split off first (``master.next_u64()`` seeds it), then one
+behaviour stream per consumer in a fixed order (the ABP receiver's laziness
+stream; each bit-vote peer's vote stream in peer order).  Per message send
+the network stream draws, in order: the drop decision, the duplication
+decision, then, when jitter is non-zero, one delay draw per delivered copy.
+Broadcasts send to peers in id order.
 
 Scheduling contract: the event loop holds pending handler calls and makes
 them ordered by (time, scheduling order); each delivered message copy and
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -58,21 +63,71 @@ __all__ = [
 TICK_BUDGET = 100_000
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_FIRST_LANES, _MAX_LANES = 16, 256  # the outputs of a stream's first and largest blocks
+# The low 64-bit word of each 128-bit lane of a block, last lane first.
+_LAST_LANE_FIRST = slice(-2, None, -2) if sys.byteorder == "little" else slice(1, None, 2)
+
+
+def _doubled(n: int, ones: int, steps: int, masks: int) -> tuple[int, int, int, int]:
+    """The lane constants of a block of ``2 * n`` lanes from those of ``n``."""
+    width = 128 * n
+    steps |= (steps + n * _GAMMA * ones) << width
+    return 2 * n, ones | ones << width, steps, masks | masks << width
+
+
+_FIRST_BLOCK = (1, 1, _GAMMA, _MASK64)  # lanes, ones, steps, masks
+while _FIRST_BLOCK[0] < _FIRST_LANES:
+    _FIRST_BLOCK = _doubled(*_FIRST_BLOCK)
 
 
 class SplitMix64:
-    """SplitMix64 generator: state += 0x9E3779B97F4A7C15, output finalized
-    with the MurmurHash3-style mixer.  Small and easy to port."""
+    """SplitMix64 generator: output ``k`` (from 1) of a stream seeded with
+    ``s`` is ``mix((s + k * 0x9E3779B97F4A7C15) mod 2**64)``, where ``mix`` is
+    the MurmurHash3-style finalizer.  Small and easy to port.
+
+    The outputs are made a block at a time and handed out in order, so every
+    stream gives exactly the sequence of one draw per call.  A block packs
+    one 128-bit lane per output into one int, and each step of ``mix`` runs
+    once on the whole int, masked to 64 bits per lane: a 64 x 64-bit product
+    fits its lane, so nothing carries into the next.  A stream's first block
+    has 16 lanes and each next one twice as many, up to 256: a stream that
+    draws a few times makes at most 16 outputs, and a long one holds at most
+    256 outputs and three 4 KB lane constants, which go with it.  ``state``
+    is the state after the last output of the last block made, not after
+    the last draw handed out."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
+        # Per lane k (from 0) of the next block: 1, (k + 1) * gamma and the
+        # 64-bit mask.
+        self._lanes, self._ones, self._steps, self._masks = _FIRST_BLOCK
+        self._outputs = [None]  # the outputs in hand, last first, after None
+
+    def __copy__(self) -> SplitMix64:
+        """A generator that makes the draws this one would, on its own."""
+        twin = SplitMix64.__new__(SplitMix64)
+        twin.__dict__.update(self.__dict__, _outputs=self._outputs.copy())
+        return twin
+
+    def _block(self) -> int:
+        """Make the next block of outputs: return its first and keep the rest."""
+        n, ones, masks = self._lanes, self._ones, self._masks
+        z = (self.state * ones + self._steps) & masks
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & masks) * 0xBF58476D1CE4E5B9 & masks
+        z = ((z ^ (z >> 27)) & masks) * 0x94D049BB133111EB & masks
+        z ^= z >> 31  # the next lane's bits land in the unread high word of each
+        outputs = memoryview(z.to_bytes(16 * n, sys.byteorder)).cast("Q")[_LAST_LANE_FIRST].tolist()
+        if n < _MAX_LANES:
+            self._lanes, self._ones, self._steps, self._masks = _doubled(n, ones, self._steps, masks)
+        outputs.insert(0, None)  # popped when the block is used up
+        self._outputs = outputs
+        return outputs.pop()
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        z = self._outputs.pop()
+        return self._block() if z is None else z
 
     def split(self) -> "SplitMix64":
         return SplitMix64(self.next_u64())
@@ -80,10 +135,10 @@ class SplitMix64:
     def uniform(self) -> float:
         """A float in [0, 1) with 53 random bits: ``(next_u64() >> 11) / 2**53``,
         with the draw written out to save a call per draw."""
-        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((z ^ (z >> 31)) >> 11) / 2.0**53
+        z = self._outputs.pop()
+        if z is None:
+            z = self._block()
+        return (z >> 11) / 2.0**53
 
     def randrange(self, n: int) -> int:
         return self.next_u64() % n
@@ -226,14 +281,31 @@ class _Trace(Sequence):
 
 
 class _EventLoop:
-    def __init__(self) -> None:
+    """The pending handler calls of a run, and the unreliable channel whose
+    surviving message copies become calls."""
+
+    def __init__(self, net: NetConfig, rng: SplitMix64) -> None:
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._order = itertools.count()  # the scheduling order of the calls
         self.now = 0
+        self.net, self.rng = net, rng
 
     def at(self, delay: int, fn: Callable[..., None], args: tuple) -> None:
         """Schedule the call ``fn(*args)`` ``delay`` ticks from now."""
         heappush(self._heap, (self.now + delay, next(self._order), fn, args))
+
+    def send(self, deliver: Callable[..., None], *args, drop: Optional[float] = None) -> None:
+        """Schedule ``deliver(*args)`` once per surviving copy; ``drop``, when
+        set, replaces the configured drop probability."""
+        net, rng = self.net, self.rng
+        kept = rng.uniform() >= (net.drop_prob if drop is None else drop)
+        duplicated = rng.uniform() < net.dup_prob
+        if kept or duplicated:  # then a delay draw per copy when there is jitter
+            heap, order, time, jitter = self._heap, self._order, self.now + net.base_delay, net.jitter
+            if kept:
+                heappush(heap, (time + rng.randrange(jitter + 1) if jitter else time, next(order), deliver, args))
+            if duplicated:
+                heappush(heap, (time + rng.randrange(jitter + 1) if jitter else time, next(order), deliver, args))
 
     def run(self, budget: int) -> bool:
         """Make the calls in (time, scheduling) order; True if truncated."""
@@ -255,41 +327,34 @@ class _Participant:
         cfg = semantics.initial_config(spec)
         self.state, self.scope = cfg.state, semantics.scope_of(cfg.store)
         self.transitions = semantics.Transitions(spec, cfg.store.vars)
-        self.heads: dict[tuple[str, str], tuple] = {}  # by (state, action)
+        # By (state, action) met before: the target of a transition with no
+        # effect and a plain target, else None, and the head of its events.
+        self.steps: dict[tuple[str, str], tuple[Optional[str], tuple]] = {}
         self.events: list[tuple] = []  # the head of each event
 
     def execute(self, action: str) -> str:
         """Execute ``action`` and return the next state."""
-        key = self.state, action
-        t = self.transitions[key]
-        if t is not None and t.effect is None and t.target is not None:
-            self.state = t.target  # what fire returns for it
-        else:
-            self.state, self.scope, _ = semantics.fire(t, self.state, action, None, self.scope)
-        head = self.heads.get(key)
-        if head is None:
-            head = self.heads[key] = (self.name, action, DIRECTION_IN if t.is_input else DIRECTION_OUT, None)
+        step = self.steps.get((self.state, action))
+        if step is None:
+            step = self._learn(action)
+        target, head = step
+        if target is None:
+            target, self.scope, _ = semantics.fire(
+                self.transitions[self.state, action], self.state, action, None, self.scope
+            )
+        self.state = target
         self.events.append(head)
-        return self.state
+        return target
 
-
-class _Network:
-    def __init__(self, loop: _EventLoop, net: NetConfig, rng: SplitMix64):
-        self.loop = loop
-        self.net = net
-        self.rng = rng
-
-    def send(self, deliver: Callable[..., None], *args, drop: Optional[float] = None) -> None:
-        """Schedule ``deliver(*args)`` once per surviving copy; ``drop``, when
-        set, replaces the configured drop probability."""
-        net, rng, loop = self.net, self.rng, self.loop
-        dropped = rng.uniform() < (net.drop_prob if drop is None else drop)
-        duplicated = rng.uniform() < net.dup_prob
-        for _ in range((0 if dropped else 1) + (1 if duplicated else 0)):
-            delay = net.base_delay
-            if net.jitter:
-                delay += rng.randrange(net.jitter + 1)
-            loop.at(delay, deliver, args)
+    def _learn(self, action: str) -> tuple[Optional[str], tuple]:
+        """The step of (state, action), on its first execution."""
+        t = self.transitions[self.state, action]
+        if t is None:
+            semantics.fire(t, self.state, action, None, self.scope)  # raises
+        head = (self.name, action, DIRECTION_IN if t.is_input else DIRECTION_OUT, None)
+        plain = t.effect is None and t.target is not None  # fire returns the target
+        step = self.steps[self.state, action] = (t.target if plain else None, head)
+        return step
 
 
 def _finish(
@@ -299,11 +364,12 @@ def _finish(
     """Call ``start``, then run ``loop`` within the tick budget; each trace is
     a view of the heads its participant recorded, not a copy.
 
-    The pending calls and the compiled transitions are released as soon as
-    the run ends; a trace holds none.  The handlers of a run call each other
-    through closure cells, and each simulator rebinds them to ``None`` when
-    it returns or raises, so no reference cycle outlives a run: dropping the
-    :class:`SimRun` frees its traces at once, without the cycle collector."""
+    The pending calls, the compiled transitions and the cached steps are
+    released as soon as the run ends; a trace holds none of them.  The
+    handlers of a run call each other through closure cells, and each
+    simulator rebinds them to ``None`` when it returns or raises, so no
+    reference cycle outlives a run: dropping the :class:`SimRun` frees its
+    traces at once, without the cycle collector."""
     try:
         start()
         truncated = loop.run(tick_budget)
@@ -311,6 +377,7 @@ def _finish(
         loop._heap.clear()  # the pending calls hold handlers
         for p in participants:
             p.transitions.clear()
+            p.steps.clear()
     return SimRun(
         protocol=protocol,
         traces={p.name: _Trace(p.events) for p in participants},
@@ -341,8 +408,7 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     exceeding the tick budget stops gracefully with the truncation flag set.
     """
     master = SplitMix64(cfg.net.seed)
-    loop = _EventLoop()
-    network = _Network(loop, cfg.net, master.split())
+    loop = _EventLoop(cfg.net, master.split())
     lazy_rng = master.split()
 
     sender = _Participant("sender", specs.load("sender"))
@@ -353,7 +419,7 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
 
     def emit_msg() -> None:
         sender.execute("msg")
-        network.send(receiver_msg, bit)
+        loop.send(receiver_msg, bit)
         loop.at(cfg.resend_interval, resend, (acked,))
 
     def resend(epoch: int) -> None:
@@ -366,7 +432,7 @@ def run_abp(cfg: AbpConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         receiver.execute("msg")
         if lazy_rng.uniform() < cfg.ack_prob:
             receiver.execute("ack")
-            network.send(sender_ack, msg_bit)
+            loop.send(sender_ack, msg_bit)
 
     def sender_ack(ack_bit: int) -> None:
         nonlocal bit, acked
@@ -401,8 +467,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     ignore duplicates and messages of closed rounds.
     """
     master = SplitMix64(cfg.net.seed)
-    loop = _EventLoop()
-    network = _Network(loop, cfg.net, master.split())
+    loop = _EventLoop(cfg.net, master.split())
 
     leader = _Participant("leader", specs.load("leader"))
     peer_names = [f"peer{i}" for i in range(cfg.n)]
@@ -418,7 +483,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
     def leader_vreq() -> None:
         state = leader.execute("vreq")
         for name in peer_names:
-            network.send(peer_vreq, name, current)
+            loop.send(peer_vreq, name, current)
         if state == "L2":
             finish_round()
         else:
@@ -429,7 +494,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
         bit = majority_bit(votes.values())
         leader.execute("vwb")
         for name in peer_names:
-            network.send(peer_vwb, name, current, bit)
+            loop.send(peer_vwb, name, current, bit)
         if current == cfg.voting_rounds:
             finished = True
             return
@@ -458,7 +523,7 @@ def run_bitvote(cfg: BitVoteConfig, tick_budget: int = TICK_BUDGET) -> SimRun:
             st["max_round"] = rnd
             st["vote"] = vote_rngs[name].bit()
         peers[name].execute("vack")
-        network.send(leader_vack, name, rnd, st["vote"], drop=cfg.peer_to_leader_drop)
+        loop.send(leader_vack, name, rnd, st["vote"], drop=cfg.peer_to_leader_drop)
 
     def peer_vwb(name: str, rnd: int, bit: int) -> None:
         st = pstate[name]

@@ -5,9 +5,12 @@ import gc
 import hashlib
 import json
 import pickle
+import tracemalloc
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsmon import simnet, specs
 from tsmon.monitor import MonitorConfig, TraceEvent, VERDICT_ILLEGAL, run_trace, write_trace
@@ -25,6 +28,44 @@ from tsmon.simnet import (
 )
 
 from growth import assert_grows_linearly
+
+
+class _ScalarSplitMix64:
+    """SplitMix64 with one mix per draw, written out: the oracle for the
+    draws that ``SplitMix64`` makes a block at a time."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) / 2**53
+
+    def randrange(self, n):
+        return self.next_u64() % n
+
+    def bit(self):
+        return self.next_u64() & 1
+
+    def split(self):
+        return _ScalarSplitMix64(self.next_u64())
+
+
+_DRAWS = ("next_u64", "uniform", "bit", "randrange")
+
+
+def _draw(rng, name, n):
+    """One draw by ``name``, as a value to compare; floats by their hex form."""
+    if name == "randrange":
+        return rng.randrange(n)
+    value = getattr(rng, name)()
+    return value.hex() if name == "uniform" else value
 
 
 class TestSplitMix64:
@@ -50,17 +91,88 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5, 2**64 - 1])
     def test_uniform_is_the_documented_draw(self, seed):
-        # uniform() computes its draw in one call; its floats stay bit-equal to
-        # the 53 high bits of next_u64() over 2**53, on a master stream and on
-        # one split off it.
+        # uniform()'s floats are bit-equal to the 53 high bits of the oracle's
+        # next_u64() over 2**53, on a master stream and on one split off it.
         for rng, twin in [
-            (SplitMix64(seed), SplitMix64(seed)),
-            (SplitMix64(seed).split(), SplitMix64(seed).split()),
+            (SplitMix64(seed), _ScalarSplitMix64(seed)),
+            (SplitMix64(seed).split(), _ScalarSplitMix64(seed).split()),
         ]:
             drawn = [rng.uniform().hex() for _ in range(10_000)]
             expected = [((twin.next_u64() >> 11) / 2**53).hex() for _ in range(10_000)]
             assert drawn == expected
-            assert rng.state == twin.state
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        program=st.lists(
+            st.tuples(st.sampled_from(_DRAWS + ("split",)), st.integers(0, 7), st.integers(1, 100),
+                      st.integers(1, 2**70)),
+            max_size=12,
+        ),
+    )
+    def test_every_draw_is_the_oracles(self, seed, program):
+        # Blocks end after 16, 48, 112, 240, 496 and 752 draws, the last two
+        # at the cap of 256 outputs.  The program interleaves draws of every
+        # kind on the master and on streams split off it, then each stream
+        # draws 520 more, so each has crossed at least the first five.
+        streams = [(SplitMix64(seed), _ScalarSplitMix64(seed))]
+        for name, stream, count, n in program:
+            rng, twin = streams[stream % len(streams)]
+            if name == "split":
+                streams.append((rng.split(), twin.split()))
+                continue
+            for _ in range(count):
+                assert _draw(rng, name, n) == _draw(twin, name, n)
+        for rng, twin in streams:
+            for i in range(520):
+                assert _draw(rng, _DRAWS[i % 4], 3 + i) == _draw(twin, _DRAWS[i % 4], 3 + i)
+
+    @pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))])
+    def test_a_copy_makes_the_same_draws_on_its_own(self, twin):
+        rng = SplitMix64(8)
+        rng.next_u64()
+        other = twin(rng)
+        drawn = [rng.next_u64() for _ in range(40)]
+        assert [other.next_u64() for _ in range(40)] == drawn
+
+    def test_state_is_after_the_last_block_made(self):
+        # The first draw makes a block of 16 outputs, the 17th one of 32.
+        rng = SplitMix64(41)
+        rng.next_u64()
+        assert rng.state == (41 + 16 * 0x9E3779B97F4A7C15) % 2**64
+        for _ in range(16):
+            rng.next_u64()
+        assert rng.state == (41 + 48 * 0x9E3779B97F4A7C15) % 2**64
+
+    def test_splitmix_grows_linearly_in_draws(self):
+        def prepare(draws):
+            def call():
+                uniform = SplitMix64(draws).uniform
+                for _ in range(draws):
+                    uniform()
+
+            return call
+
+        assert_grows_linearly(prepare, 20_000)
+
+    def test_the_cap_bounds_what_a_generator_holds(self, monkeypatch):
+        # At the cap a generator holds at most 256 outputs and three lane
+        # constants of 4 KB, about 22 KB; with no cap its blocks would have
+        # grown to 65,536 outputs by the 100,000th draw.
+        def held_after_draws():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                rng = SplitMix64(3)
+                for _ in range(100_000):
+                    rng.next_u64()
+                return tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+
+        assert held_after_draws() < 40_000
+        monkeypatch.setattr(simnet, "_MAX_LANES", 2**20)
+        assert held_after_draws() > 1_000_000
 
 
 class TestMajority:
@@ -555,8 +667,8 @@ class TestReplayGrid:
         except IllegalActionError as exc:
             assert str(exc) == "state 'Pr0' offers no action 'vwb'"
             return 1
-        finally:  # a run releases its compiled transitions, crashed or not
-            assert [len(p.transitions) for p in participants] == [0] * len(participants)
+        finally:  # a run releases its compiled transitions and steps, crashed or not
+            assert [(len(p.transitions), len(p.steps)) for p in participants] == [(0, 0)] * len(participants)
         assert sorted(p.name for p in participants) == sorted(run.traces)
         for p in participants:
             result = run_trace(p.spec, MonitorConfig(), run.traces[p.name])
