@@ -19,8 +19,10 @@ import os
 import sys
 from collections import Counter
 from enum import IntEnum
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Iterator, NoReturn, Optional
 
 from . import monitor as monitor_mod
 from . import semantics, simnet
@@ -130,28 +132,50 @@ def monitor_cmd(
     except ValueError as exc:
         _fail(ExitStatus.USAGE, str(exc))
     try:
-        events = monitor_mod.read_trace(trace_path)
+        trace = open(trace_path, encoding="utf-8")
     except OSError as exc:
         _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
-    except (ValueError, KeyError) as exc:
-        # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
-        _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
-    result = monitor_mod.run_trace(spec, conf, events)
-    if log_path is None:
-        monitor_mod.write_log(sys.stdout, result.log)
-    else:
-        try:
-            monitor_mod.write_log(log_path, result.log)
-        except OSError as exc:
-            _fail(ExitStatus.USAGE, f"cannot write {log_path}: {exc.strerror or exc}")
-    verdicts = Counter(e.verdict for e in result.log)
+    with trace:
+        # The log is written while the trace is read, so it cannot replace it.
+        if log_path is not None and os.path.isfile(log_path) and os.path.samefile(log_path, trace_path):
+            _fail(ExitStatus.USAGE, f"cannot write {log_path}: it is the trace")
+        monitor = monitor_mod.Monitor(spec, conf)
+        reader = monitor_mod.iter_trace(trace)
+        events, verdicts = 0, Counter()
+
+        def chunks() -> Iterator[list[monitor_mod.LogEntry]]:
+            """The entries of each ``_CHUNK`` events of the trace."""
+            nonlocal events
+            while True:
+                try:
+                    chunk = list(islice(reader, monitor_mod._CHUNK))
+                except OSError as exc:
+                    _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
+                except (ValueError, KeyError) as exc:
+                    # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
+                    _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
+                if not chunk:
+                    return
+                entries = monitor.feed(chunk)
+                events += len(chunk)
+                verdicts.update(map(itemgetter(5), entries))
+                yield entries
+
+        log = chain.from_iterable(chunks())
+        if log_path is None:
+            monitor_mod.write_log(sys.stdout, log)
+        else:
+            try:
+                monitor_mod.write_log(log_path, log)
+            except OSError as exc:
+                _fail(ExitStatus.USAGE, f"cannot write {log_path}: {exc.strerror or exc}")
     deviations = (
         verdicts[monitor_mod.VERDICT_DEVIATION_LOW] + verdicts[monitor_mod.VERDICT_DEVIATION_HIGH]
     )
     illegal = verdicts[monitor_mod.VERDICT_ILLEGAL]
     summary = {
-        "events": len(events),
-        "monitored": len(result.log) - illegal,
+        "events": events,
+        "monitored": verdicts.total() - illegal,
         "ok": verdicts[monitor_mod.VERDICT_OK],
         "warmup": verdicts[monitor_mod.VERDICT_WARMUP],
         "deviations": deviations,

@@ -17,18 +17,25 @@ object each event as it arrives, so the two cannot drift apart.  The monitor
 holds the state, the variables and the counters, compiles each (state,
 action) pair it meets once into a :class:`tsmon.semantics.Transitions` table,
 executes each event with :func:`tsmon.semantics.fire`, and takes the session
-side and ratio from the compiled transition.  The log is output, not state:
-``feed`` returns the entries it made; :class:`MTInfo` has no log.
+side and ratio from the compiled transition.  An event with no value on a
+transition with no effect and a plain target takes the target without the
+call, which is what ``fire`` returns for it (see :mod:`tsmon.semantics`): the
+monitor keeps that step per (state, action, direction) once it has met it.
+The log is output, not state: ``feed`` returns the entries it made;
+:class:`MTInfo` has no log.
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
 per line gives, but that the reader refuses an integer of more than
 ``_MAX_INT_DIGITS`` digits.  A writer caches a format string made by ``json.dumps`` per
 distinct value of the fields that repeat from line to line, and fills in
 ``seq``, or ``observed`` and ``event_index``; a line with a field of another
-type is dumped whole.  :func:`read_trace` parses a line in full only when its
-head (all before ``, "seq": ``) is new, and else reads just the ``seq``.  The
-writers hand a file ``_CHUNK`` (256) lines per ``write`` and the reader takes
-it a line at a time, so neither holds a copy of the whole text.
+type is dumped whole.  :func:`iter_trace` yields events as it reads lines,
+and :func:`read_trace` is the list of them; a line is parsed in full only when
+its head (all before ``, "seq": ``) is new, and else just its ``seq`` is read.
+The writers hand a file ``_CHUNK`` (256) lines per ``write`` and the reader
+takes it a line at a time, so neither holds a copy of the whole text, and
+``tsmon monitor`` streams a trace to its log in memory that does not grow
+with the trace.
 
 :class:`TraceEvent` and :class:`LogEntry` are named tuples: immutable, built
 by position or keyword, read by attribute, index or unpacking, and equal to a
@@ -62,6 +69,7 @@ __all__ = [
     "VERDICT_ILLEGAL",
     "VERDICT_OK",
     "VERDICT_WARMUP",
+    "iter_trace",
     "log_entry_to_json",
     "read_trace",
     "run_trace",
@@ -177,7 +185,7 @@ class Monitor:
     """The monitor of one trace: :meth:`feed` consumes events as they arrive
     and :meth:`config` takes a snapshot of the configuration."""
 
-    __slots__ = ("conf", "state", "scope", "_store", "table", "intervals", "n", "p")
+    __slots__ = ("conf", "state", "scope", "_store", "table", "intervals", "steps", "n", "p")
 
     def __init__(self, spec: ProtocolSpec, conf: MonitorConfig) -> None:
         cfg = semantics.initial_config(spec)
@@ -186,6 +194,10 @@ class Monitor:
         self.scope = scope_of(cfg.store)
         self.table = Transitions(spec, cfg.store.vars)
         self.intervals: dict[tuple[str, str], tuple[float, float]] = {}  # shared by entries
+        # The step of each (state, action, direction) met before whose
+        # transition has no effect and a plain target, for an event with no
+        # value: the target, the ratio and the interval.
+        self.steps: dict[tuple[str, str, str], tuple[str, Optional[float], Optional[tuple]]] = {}
         self.n: dict[str, int] = {}
         self.p: dict[tuple[str, str], int] = {}
 
@@ -194,28 +206,37 @@ class Monitor:
         a verdict for an action with a ratio, ``illegal`` for an event that no
         transition allows.  If ``events`` raises, the events before it
         stay consumed."""
-        conf, table, intervals, n, p = self.conf, self.table, self.intervals, self.n, self.p
+        conf, table, intervals, steps, n, p = self.conf, self.table, self.intervals, self.steps, self.n, self.p
         state, scope = self.state, self.scope
         log: list[LogEntry] = []
         try:
             for _, action, direction, value, seq in events:
-                t = table[state, action]
-                try:
-                    target, after, _ = fire(t, state, action, value, scope)
-                except (IllegalActionError, EvalError):
-                    t = None
-                if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
-                    log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
-                    continue
-                mu = t.branch.ratio
+                # Only None takes a cached step: 1 is not true, and [] does not hash.
+                step = steps.get((state, action, direction)) if value is None else None
+                if step is None:
+                    t = table[state, action]
+                    try:
+                        target, after, _ = fire(t, state, action, value, scope)
+                    except (IllegalActionError, EvalError):
+                        t = None
+                    if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
+                        log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
+                        continue
+                    mu, interval = t.branch.ratio, None
+                    if mu is not None:
+                        interval = intervals.get((state, action))
+                        if interval is None:
+                            bound = conf.bound_for(state, action)
+                            interval = intervals[state, action] = (mu - bound, mu + bound)
+                    if t.effect is None and t.target is not None:  # fire returns the target
+                        steps[state, action, direction] = (target, mu, interval)
+                    scope = after
+                else:
+                    target, mu, interval = step
                 if mu is not None:
                     n_before = n.get(state, 0)
                     p_before = p.get((state, action), 0)
                     observed = (p_before + 1) / (n_before + 1)
-                    interval = intervals.get((state, action))
-                    if interval is None:
-                        bound = conf.bound_for(state, action)
-                        interval = intervals[state, action] = (mu - bound, mu + bound)
                     low, high = interval
                     if n_before + 1 < conf.warmup:
                         verdict = VERDICT_WARMUP
@@ -228,7 +249,7 @@ class Monitor:
                     log.append(_tuple_new(LogEntry, (state, action, mu, interval, observed, verdict, seq)))
                     n[state] = n_before + 1
                     p[(state, action)] = p_before + 1
-                state, scope = target, after
+                state = target
         finally:
             self.state, self.scope = state, scope
         return log
@@ -331,22 +352,33 @@ def _write_heads(target: Union[str, Path, IO[str]], heads: Sequence[tuple]) -> N
 
 
 def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
-    """Events of one participant's trace; raises ValueError on a malformed
-    line or on events of more than one participant.  A path is read line by
-    line with universal newlines, as ``Path.read_text`` reads it."""
+    """Events of one participant's trace, as :func:`iter_trace` reads them.  A
+    path is read line by line with universal newlines, as ``Path.read_text``
+    reads it."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             return read_trace(fh)
-    events, participants = [], set()
+    return list(iter_trace(source))
+
+
+def iter_trace(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """The events of one participant's trace, one per line of ``lines`` (a text
+    file) as it is read; raises ValueError on a malformed line or on events of
+    more than one participant.  After the second participant it yields no
+    more, but reads on to the end, so that the error names every participant
+    and a later malformed line is reported in its place."""
+    participants: set[str] = set()
+    one = True  # as long as the events have one participant
     # A line is a head, ``, "seq": `` and a tail.  Once a line has parsed as
     # an event, a later line with the same head differs from it only in seq.
     heads: dict[str, tuple] = {}
-    for line in source:  # a text file ends a line only at "\n", unlike splitlines()
+    for line in lines:  # a text file ends a line only at "\n", unlike splitlines()
         line = line.rstrip("\n")
         head, _, tail = line.rpartition(', "seq": ')
         fields = heads.get(head)
         if fields is not None and _SEQ_TAIL.fullmatch(tail):
-            events.append(_tuple_new(TraceEvent, (*fields, int(tail[:-1]))))
+            if one:
+                yield _tuple_new(TraceEvent, (*fields, int(tail[:-1])))
         elif line.strip():
             try:
                 ev = trace_event_from_json(json.loads(line, parse_int=_parse_int))
@@ -355,10 +387,11 @@ def read_trace(source: Union[str, Path, IO[str]]) -> list[TraceEvent]:
             if _SEQ_TAIL.fullmatch(tail):
                 heads[head] = ev[:4]  # all but seq
             participants.add(ev.participant)
-            events.append(ev)
-    if len(participants) > 1:
+            one = len(participants) == 1
+            if one:
+                yield ev
+    if not one:
         raise ValueError(f"events of several participants: {sorted(participants)}")
-    return events
 
 
 def _parse_int(text: str) -> int:

@@ -79,28 +79,35 @@ def test_importing_the_cli_leaves_click_out():
     assert run.stdout == "False\n"
 
 
-def test_monitor_command_runs_run_trace_once(tmp_path, monkeypatch):
+def test_monitor_command_streams_through_one_write_log_call(tmp_path, monkeypatch):
     # The traced pass times `monitor` through the module attribute
-    # tsmon.monitor.run_trace and counts its events with len(args[2]); a
-    # command that bypassed it would leave the monitor.run_trace.* metrics at 0.
+    # tsmon.monitor.write_log, whose span covers the whole streamed command;
+    # read_trace and run_trace are left to the library and the slope probe.
     import tsmon.cli
     import tsmon.monitor
 
     calls = []
-    run_trace = tsmon.monitor.run_trace
+    write_log = tsmon.monitor.write_log
 
-    def counting(*args):
-        calls.append(len(args[2]))
-        return run_trace(*args)
+    def counting(target, log):
+        calls.append(target)
+        return write_log(target, log)
 
-    monkeypatch.setattr(tsmon.monitor, "run_trace", counting)
+    def unused(*args):
+        raise AssertionError("the monitor command reads and monitors in one pass")
+
+    monkeypatch.setattr(tsmon.monitor, "write_log", counting)
+    monkeypatch.setattr(tsmon.monitor, "read_trace", unused)
+    monkeypatch.setattr(tsmon.monitor, "run_trace", unused)
     trace = tmp_path / "receiver.jsonl"
     trace.write_text(
         '{"participant": "r", "action": "msg", "dir": "in", "value": null, "seq": 0}\n'
         '{"participant": "r", "action": "ack", "dir": "out", "value": null, "seq": 1}\n'
     )
-    args = ["monitor", str(specs.spec_path("receiver")), "--trace", str(trace),
-            "--log", str(tmp_path / "receiver.log")]
-    with pytest.raises(SystemExit):
+    log = tmp_path / "receiver.log"
+    args = ["monitor", str(specs.spec_path("receiver")), "--trace", str(trace), "--log", str(log)]
+    with pytest.raises(SystemExit) as exc:
         tsmon.cli.main(args, standalone_mode=False)
-    assert calls == [2]
+    assert exc.value.code == 0
+    assert calls == [str(log)]
+    assert len(log.read_text().splitlines()) == 1

@@ -1,12 +1,15 @@
 """CLI surface: exit codes, output streams, flag handling."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from tsmon.cli import _PARSER, main
 from tsmon.dsl import serialize_protocol
-from tsmon.monitor import write_trace
+from tsmon.monitor import TraceEvent, write_trace
 from tsmon.semantics import IllegalActionError
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
 from tsmon.specs import spec_path
@@ -500,6 +503,118 @@ class TestMonitor:
             )
             logs.append((tmp_path / name).read_bytes())
         assert logs[0] == logs[1]
+
+def _r1_lines(count, participant="r", start=0):
+    """Receiver trace lines: msg at R0, then ack and msg in turn at R1."""
+    events = [TraceEvent(participant, "ack" if i % 2 else "msg", "out" if i % 2 else "in", None, i)
+              for i in range(start, start + count)]
+    text = io.StringIO()
+    write_trace(text, events)
+    return text.getvalue().splitlines(keepends=True)
+
+
+class TestMonitorStream:
+    """``monitor`` writes each chunk of verdicts while it reads the trace: its
+    memory does not grow with the trace, and an error met part way through
+    leaves a log of whole lines, a prefix of what the good lines log."""
+
+    def _monitor(self, trace, log=None):
+        args = ["monitor", str(spec_path("receiver")), "--trace", str(trace), "--warmup", "0"]
+        return run_cli(args + (["--log", str(log)] if log else []))
+
+    def test_a_late_participant_is_named_with_the_others(self, tmp_path):
+        lines = _r1_lines(700)
+        lines[300] = _r1_lines(1, "s", 300)[0]
+        lines[650] = _r1_lines(1, "a", 650)[0]
+        trace = tmp_path / "mixed.jsonl"
+        trace.write_text("".join(lines))
+        result = self._monitor(trace, tmp_path / "mixed.log")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: malformed trace {trace}: events of several participants: ['a', 'r', 's']\n"
+        )
+
+    @pytest.mark.parametrize("good", [300, 3_000])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["log-file", "stdout"])
+    def test_a_malformed_line_leaves_a_prefix_of_the_log(self, tmp_path, good, to_file):
+        lines = _r1_lines(good)
+        whole = tmp_path / "good.jsonl"
+        whole.write_text("".join(lines))
+        expected = self._monitor(whole).stdout
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("".join(lines) + "{\n" + "".join(_r1_lines(10, start=good)))
+        log = tmp_path / "bad.log"
+        result = self._monitor(trace, log if to_file else None)
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: malformed trace {trace}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+        )
+        written = log.read_text() if to_file else result.stdout
+        assert expected.startswith(written)
+        assert written == "" or written.endswith("\n")
+        if to_file:
+            assert result.stdout == ""
+
+    def test_a_trace_that_cannot_be_opened(self, tmp_path):
+        log = tmp_path / "r.log"
+        for trace in (tmp_path / "missing.jsonl", tmp_path):
+            result = self._monitor(trace, log)
+            assert result.exit_code == 2
+            assert result.stderr.startswith(f"error: cannot read {trace}: ")
+            assert not log.exists()
+
+    def test_a_read_error_part_way(self, tmp_path, monkeypatch):
+        import tsmon.monitor
+
+        iter_trace = tsmon.monitor.iter_trace
+
+        def failing(lines):
+            yield from islice(iter_trace(lines), 300)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        trace = tmp_path / "r.jsonl"
+        trace.write_text("".join(_r1_lines(400)))
+        monkeypatch.setattr(tsmon.monitor, "iter_trace", failing)
+        result = self._monitor(trace, tmp_path / "r.log")
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot read {trace}: {os.strerror(errno.EIO)}\n"
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["good-trace", "malformed-trace"])
+    def test_a_log_that_cannot_be_written(self, tmp_path, malformed):
+        # The log is opened before the trace is read, so its error wins.
+        trace = tmp_path / "r.jsonl"
+        trace.write_text("".join(_r1_lines(10)) + ("{\n" if malformed else ""))
+        log = tmp_path / "no" / "r.log"
+        result = self._monitor(trace, log)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write {log}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_the_log_cannot_be_the_trace(self, tmp_path):
+        trace = tmp_path / "r.jsonl"
+        text = "".join(_r1_lines(10))
+        trace.write_text(text)
+        alias = f"{tmp_path}{os.sep}.{os.sep}r.jsonl"
+        result = self._monitor(trace, alias)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot write {alias}: it is the trace\n"
+        assert trace.read_text() == text
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        peaks = []
+        for count in (2_000, 2_000, 16_000):  # the first call fills the caches
+            trace = tmp_path / f"r{count}.jsonl"
+            trace.write_text("".join(_r1_lines(count)))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert self._monitor(trace, tmp_path / "r.log").exit_code == 1
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 64 * 1024, peaks
+
 
 class TestUsage:
     """The argument handling that callers rely on: usage errors exit 2 with

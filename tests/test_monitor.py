@@ -1,5 +1,6 @@
 """Monitor engine: verdict formula, counters, opacity, and JSONL round trips."""
 
+import gc
 import io
 import json
 import math
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmon import specs
-from tsmon.model import ProtocolSpec, Typestate, decisions_of
+from tsmon.dsl import parse_protocol
+from tsmon.model import PlainDest, ProtocolSpec, Typestate, decisions_of
 from tsmon.monitor import (
     LogEntry,
+    MTInfo,
     Monitor,
     MonitorConfig,
     TraceEvent,
@@ -22,6 +25,7 @@ from tsmon.monitor import (
     VERDICT_OK,
     VERDICT_WARMUP,
     _write_heads,
+    iter_trace,
     log_entry_to_json,
     read_trace,
     run_trace,
@@ -30,11 +34,13 @@ from tsmon.monitor import (
     write_log,
     write_trace,
 )
-from tsmon.semantics import EvalError, IllegalActionError, initial_config, step
+from tsmon.semantics import (
+    EvalError, IllegalActionError, Transitions, fire, initial_config, scope_of, step, store_of
+)
 from tsmon.simnet import AbpConfig, NetConfig, SplitMix64, run_abp
 
 from growth import assert_grows_linearly
-from specgen import wide_spec
+from specgen import chain_spec, wide_spec
 
 
 def r1_stream(count, first="msg"):
@@ -285,6 +291,100 @@ def _fold(monitor, events):
     return tuple(log)
 
 
+class _FireEach:
+    """The monitor with no step cache: :func:`fire` runs for every event,
+    and the verdict rule is written out again."""
+
+    def __init__(self, spec, conf):
+        cfg = initial_config(spec)
+        self.conf, self.state, self.store = conf, cfg.state, cfg.store
+        self.scope = scope_of(cfg.store)
+        self.table = Transitions(spec, cfg.store.vars)
+        self.n, self.p, self.log = {}, {}, []
+
+    def feed(self, ev):
+        _, action, direction, value, seq = ev
+        state, t = self.state, self.table[self.state, action]
+        try:
+            target, scope, _ = fire(t, state, action, value, self.scope)
+        except (IllegalActionError, EvalError):
+            t = None
+        if t is None or direction != ("in" if t.is_input else "out"):
+            self.log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
+            return
+        mu = t.branch.ratio
+        if mu is not None:
+            n, p = self.n.get(state, 0), self.p.get((state, action), 0)
+            observed, bound = (p + 1) / (n + 1), self.conf.bound_for(state, action)
+            low, high = mu - bound, mu + bound
+            verdict = (VERDICT_WARMUP if n + 1 < self.conf.warmup else VERDICT_DEVIATION_LOW
+                       if observed < low else VERDICT_DEVIATION_HIGH if observed > high else VERDICT_OK)
+            self.log.append(LogEntry(state, action, mu, (low, high), observed, verdict, seq))
+            self.n[state], self.p[state, action] = n + 1, p + 1
+        self.state, self.scope = target, scope
+
+    def config(self):
+        return MTInfo(self.state, store_of(self.scope, self.store), dict(self.n), dict(self.p))
+
+
+# The bundled specs (the leader's transitions have effects, auth's login is a
+# decision) and a boolean decision, for which 1 and 0 are no outcome.
+_SPECS = [specs.load(name) for name in specs.BUNDLED] + [parse_protocol(
+    "state S0 = !{ boolean ask() : <true: S1, false: S0> }\n"
+    "state S1 = ?{ unit done() : S0 }\n"
+)]
+_EVENT_VALUES = (None, True, False, 1, 0, "x", [])
+
+
+@st.composite
+def _noisy_walk(draw, spec):
+    """Events of a walk that mostly follows ``spec``, with every kind of
+    value, both directions and undeclared actions mixed in."""
+    walker, events = _FireEach(spec, MonitorConfig()), []
+    actions = sorted({br.action.name for body in spec.typestate.states.values()
+                      for br in (*body.in_branches, *body.out_branches)})
+    for seq in range(draw(st.integers(0, 60))):
+        body = spec.typestate.states.get(walker.state)
+        offered = [] if body is None else [
+            (br, direction) for direction, branches in (("in", body.in_branches), ("out", body.out_branches))
+            for br in branches
+        ]
+        if offered and draw(st.integers(0, 3)):
+            branch, direction = draw(st.sampled_from(offered))
+            action = branch.action.name
+            outcomes = [None] if isinstance(branch.dest, PlainDest) else [o for o, _ in branch.dest.cases]
+            value = draw(st.sampled_from([*outcomes, *_EVENT_VALUES]))
+            direction = draw(st.sampled_from([direction, direction, "out" if direction == "in" else "in"]))
+        else:
+            action = draw(st.sampled_from([*actions, "nope"]))
+            direction = draw(st.sampled_from(["in", "out"]))
+            value = draw(st.sampled_from(_EVENT_VALUES))
+        events.append(TraceEvent("x", action, direction, value, seq))
+        walker.feed(events[-1])
+    return events
+
+
+class TestStepCache:
+    """Monitor.feed takes a known plain transition without fire, for an event
+    with no value; nothing else may change."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_feed_equals_fire_for_every_event(self, data):
+        spec = data.draw(st.sampled_from(_SPECS))
+        events = data.draw(_noisy_walk(spec))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=4)))
+        conf = MonitorConfig(error_bound=0.2, warmup=2)
+        reference = _FireEach(spec, conf)
+        for ev in events:
+            reference.feed(ev)
+        m, log = Monitor(spec, conf), []
+        for start, end in zip([0, *cuts], [*cuts, len(events)]):
+            log += m.feed(events[start:end])
+        assert log == reference.log
+        assert m.config() == reference.config()
+
+
 class TestFold:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -335,6 +435,30 @@ class TestFold:
         assert prepare(3)() == []  # legal and unmonitored: no entry
         assert_grows_linearly(prepare, 1_000)
 
+    def test_feed_grows_linearly_along_a_chain(self):
+        # A walk to the end of a chain and back meets two pairs per state:
+        # each is compiled once, and the plain one adds one cached step.  The
+        # compiled closures pile up, and with the cyclic collector on, its
+        # passes over them take 13-14 times as long at 8N; the call runs with
+        # the collector paused, as the CLI runs it, which measures the monitor.
+        def prepare(n_states):
+            spec = chain_spec(n_states)
+            events = [TraceEvent("c", "fwd", "in", None, i) for i in range(n_states - 1)]
+            events += [TraceEvent("c", "back", "out", None, i) for i in range(n_states - 1, 2 * n_states - 2)]
+
+            def walk():
+                gc.disable()
+                try:
+                    return Monitor(spec, MonitorConfig(warmup=0)).feed(events)
+                finally:
+                    gc.enable()
+
+            return walk
+
+        log = prepare(3)()
+        assert [(e.state, e.verdict) for e in log] == [("C2", VERDICT_OK), ("C1", VERDICT_OK)]
+        assert_grows_linearly(prepare, 500)
+
     def test_events_that_raise_keep_what_was_consumed(self, receiver):
         events = r1_stream(6)
         conf = MonitorConfig(warmup=0)
@@ -358,9 +482,12 @@ class TestVerdictEntries:
         assert log and {type(e) for e in log} == {LogEntry}
 
     def test_unit_action_with_a_value_is_illegal(self, receiver):
-        for value in (True, False, 1, "msg"):
+        for value in (True, False, 1, 0, "msg", []):
             log = run_trace(receiver, MonitorConfig(), [TraceEvent("r", "msg", "in", value, 0)]).log
             assert [e.verdict for e in log] == [VERDICT_ILLEGAL]
+            # Also where msg is a known step: R1 has met it once.
+            log = run_trace(receiver, MonitorConfig(), [*r1_stream(2), TraceEvent("r", "msg", "in", value, 3)]).log
+            assert log[-1].verdict == VERDICT_ILLEGAL
 
 
 class TestJsonl:
@@ -405,6 +532,16 @@ class TestJsonl:
         with pytest.raises(ValueError):
             read_trace(io.StringIO(f'{head}, "seq": 0}}\n{head}, "seq": 01}}\n'))
         assert len(calls) == 2
+
+    def test_iter_trace_yields_no_event_after_a_second_participant(self):
+        first, later = r1_stream(20), r1_stream(20)
+        text = io.StringIO()
+        write_trace(text, [*first, TraceEvent("s", "msg", "out", None, 21), *later])
+        seen = []
+        with pytest.raises(ValueError, match=r"events of several participants: \['r', 's'\]"):
+            for ev in iter_trace(io.StringIO(text.getvalue())):
+                seen.append(ev)
+        assert seen == first
 
     def test_log_schema(self, receiver):
         result = run_trace(receiver, MonitorConfig(error_bound=0.25, warmup=0), r1_stream(2))
