@@ -151,8 +151,8 @@ def monitor_cmd(
                     chunk = list(islice(reader, monitor_mod._CHUNK))
                 except OSError as exc:
                     _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
-                except (ValueError, KeyError) as exc:
-                    # ValueError covers invalid JSON, non-object lines and non-UTF-8 bytes.
+                except ValueError as exc:
+                    # Invalid JSON, non-object lines, missing or ill-typed fields and non-UTF-8 bytes.
                     _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
                 if not chunk:
                     return

@@ -57,15 +57,10 @@ __all__ = [
     "StructureError",
     "TypeRef",
     "Typestate",
-    "UndefinedActionError",
     "UnknownEnumError",
     "Value",
-    "actions_of",
-    "decisions_of",
     "enum_labels",
     "outcome_text",
-    "ratios_of",
-    "resolve_state",
     "UNIT",
 ]
 
@@ -101,10 +96,6 @@ def outcome_text(value: Value) -> str:
 
 class SpecError(Exception):
     """Base class for semantic errors raised while querying a spec."""
-
-
-class UndefinedActionError(SpecError):
-    """Raised when an action is looked up in a state that does not offer it."""
 
 
 class UnknownEnumError(SpecError):
@@ -418,10 +409,6 @@ class StateBody(Record):
     def branches(self) -> tuple[Branch, ...]:
         return self.in_branches + self.out_branches
 
-    @property
-    def terminal(self) -> bool:
-        return not self.in_branches and not self.out_branches
-
 
 class Typestate(Record):
     """Ordered map of state names to bodies; the first entry is the start.
@@ -532,37 +519,11 @@ class ProtocolSpec(Record):
 # --------------------------------------------------------------------------
 
 
-def resolve_state(ts: Typestate, state: str) -> Union[StateBody, str]:
-    """Return the body bound to ``state``, or the name itself if undefined.
-
-    Total by definition: unresolved names are returned verbatim so that
-    dangling destinations behave as opaque terminal states.
-    """
-    body = ts.states.get(state)
-    return body if body is not None else state
-
-
-def actions_of(ts: Typestate, state: str) -> frozenset[str]:
-    """Names of all actions offered by a state; empty for unresolved names."""
-    body = resolve_state(ts, state)
-    if isinstance(body, str):
-        return frozenset()
-    return frozenset(br.action.name for br in body.branches())
-
-
 def _outcomes(br: Branch) -> frozenset[Value]:
     """Outcome set of a branch: its decision labels, or {None} when plain."""
     if isinstance(br.dest, DecisionDest):
         return br.dest.outcomes()
     return frozenset((None,))
-
-
-def decisions_of(ts: Typestate, state: str, action: str) -> frozenset[Value]:
-    """Outcome set of an action: its decision labels, or {None} when plain."""
-    found = ts.find(state, action)
-    if found is None:
-        raise UndefinedActionError(f"state {state!r} offers no action {action!r}")
-    return _outcomes(found[0])
 
 
 def enum_labels(spec: ProtocolSpec, tref: TypeRef) -> frozenset[Value]:
@@ -575,11 +536,3 @@ def enum_labels(spec: ProtocolSpec, tref: TypeRef) -> frozenset[Value]:
             raise UnknownEnumError(f"enum {tref.enum_name!r} is not declared")
         return frozenset(labels)
     return frozenset((None,))
-
-
-def ratios_of(ts: Typestate, state: str) -> list[float]:
-    """Numeric ratios declared in a state, unmonitored entries excluded."""
-    body = resolve_state(ts, state)
-    if isinstance(body, str):
-        return []
-    return [br.ratio for br in body.branches() if br.ratio is not None]

@@ -285,15 +285,20 @@ def trace_event_to_json(ev: TraceEvent) -> dict:
 
 
 def trace_event_from_json(obj: dict) -> TraceEvent:
+    """The event of a decoded trace line; raises ValueError, naming the field,
+    if a field is missing or of the wrong type."""
     if not isinstance(obj, dict):
         raise ValueError(f"trace event is not a JSON object: {obj!r}")
-    ev = TraceEvent(
-        participant=obj["participant"],
-        action=obj["action"],
-        direction=obj["dir"],
-        value=obj.get("value"),
-        seq=obj["seq"],
-    )
+    try:
+        ev = TraceEvent(
+            participant=obj["participant"],
+            action=obj["action"],
+            direction=obj["dir"],
+            value=obj.get("value"),
+            seq=obj["seq"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"trace event has no {exc.args[0]!r} field: {obj!r}") from None
     if not isinstance(ev.participant, str) or not isinstance(ev.action, str):
         raise ValueError(f"participant and action must be strings: {obj!r}")
     if ev.direction not in (DIRECTION_IN, DIRECTION_OUT):

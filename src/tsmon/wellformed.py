@@ -26,7 +26,6 @@ from .model import (
     Value,
     enum_labels,
     outcome_text,
-    ratios_of,
     _outcomes,
     _setattr,
 )
@@ -126,7 +125,7 @@ def check_well_formed(spec: ProtocolSpec) -> list[Diagnostic]:
     ts = spec.typestate
     diags: list[Diagnostic] = []
     for state, body in ts.states.items():
-        ratios = ratios_of(ts, state)
+        ratios = [br.ratio for br in body.branches() if br.ratio is not None]
         if ratios:
             total = sum(ratios)
             if abs(total - 1.0) > RATIO_TOLERANCE:

@@ -219,6 +219,9 @@ def _receiver_trace() -> bytes:
 
 
 _RECEIVER_TRACE = _receiver_trace()
+_EVENT = {"participant": "s", "action": "msg", "dir": "out", "seq": 0}
+# A trace line without each required field, mapped to the field's name.
+_MISSING_FIELD = {json.dumps({k: v for k, v in _EVENT.items() if k != field}): field for field in _EVENT}
 # Bytes that matter to JSON Lines, and any byte at all.
 _BYTES = st.sampled_from(b'{}[]",:-0129 \n\r\\etnu') | st.integers(0, 255)
 
@@ -374,6 +377,7 @@ class TestMonitor:
             + "[" * 100_000 + "]" * 100_000 + ', "seq": 0}',
             '{"participant": "r", "action": "msg", "dir": "out", "seq": 0}\n'
             '{"participant": "zzz", "action": "ack", "dir": "in", "seq": 1}',
+            *_MISSING_FIELD,
         ],
         ids=[
             "not-json",
@@ -390,6 +394,7 @@ class TestMonitor:
             "value-list",
             "value-deep",
             "participants-mixed",
+            *(f"no-{field}" for field in _MISSING_FIELD.values()),
         ],
     )
     def test_malformed_trace(self, tmp_path, line):
@@ -400,6 +405,8 @@ class TestMonitor:
         )
         assert result.exit_code == 2
         assert "malformed trace" in result.stderr
+        if line in _MISSING_FIELD:
+            assert f"has no {_MISSING_FIELD[line]!r} field" in result.stderr
 
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tsmon import specs
 from tsmon.dsl import ParseError, _lex, _line_starts, _span, parse_protocol, serialize_protocol
-from tsmon.model import UNIT, DecisionDest, PlainDest, SourceSpan, TypeRef
+from tsmon.model import UNIT, DecisionDest, PlainDest, SourceSpan, StateBody, TypeRef
 
 from growth import assert_grows_linearly
 from specgen import chain_spec, mutated_bundled_spec, random_wellformed_spec, wide_spec
@@ -50,7 +50,7 @@ class TestParsing:
 
     def test_terminal_state(self):
         spec = parse_protocol("state A = ?{ unit quit() : Done }\nstate Done = end\n")
-        assert spec.typestate.states["Done"].terminal
+        assert spec.typestate.states["Done"] == StateBody()
 
     def test_comments_and_whitespace_insignificant(self):
         spec = parse_protocol(

@@ -1,4 +1,5 @@
-"""Accessor operations over the bundled specs."""
+"""What the bundled specs offer in each state, read with
+``Typestate.find`` or off a state's body, and the structural rules."""
 
 import pytest
 
@@ -16,39 +17,50 @@ from tsmon.model import (
     StateBody,
     TypeRef,
     Typestate,
-    UndefinedActionError,
     UnknownEnumError,
-    actions_of,
-    decisions_of,
+    _outcomes,
     enum_labels,
-    ratios_of,
-    resolve_state,
 )
 
 from specgen import random_wellformed_spec
 
 
+def _names(body):
+    return {br.action.name for br in body.branches()}
+
+
+def _ratios(body):
+    return [br.ratio for br in body.branches() if br.ratio is not None]
+
+
 class TestResolveState:
+    """A (state, action) pair resolves to its branch through ``find``."""
+
     def test_defined_state_returns_body(self, sender):
-        body = resolve_state(sender.typestate, "S0")
-        assert isinstance(body, StateBody)
-        assert body.out_branches[0].action.name == "msg"
+        body = sender.typestate.states["S0"]
+        assert sender.typestate.find("S0", "msg") == (body.out_branches[0], False)
         assert body.out_branches[0].dest == PlainDest("S1")
 
     def test_undefined_name_returned_verbatim(self, sender):
-        assert resolve_state(sender.typestate, "Nowhere") == "Nowhere"
+        assert "Nowhere" not in sender.typestate.states
+        assert sender.typestate.find("Nowhere", "msg") is None
 
     def test_single_state_lookup(self):
         ts = Typestate(states={"Only": StateBody()})
-        assert resolve_state(ts, "Only") == StateBody()
+        assert ts.start == "Only" and ts.states["Only"] == StateBody()
+        assert ts.find("Only", "go") is None
 
 
 class TestDecisionsOf:
+    """The outcomes of a branch come from its destination."""
+
     def test_login_outcomes(self, auth):
-        assert decisions_of(auth.typestate, "Unauth", "login") == {"success", "failure"}
+        branch, is_input = auth.typestate.find("Unauth", "login")
+        assert is_input and _outcomes(branch) == {"success", "failure"}
 
     def test_plain_destination_is_none(self, sender):
-        assert decisions_of(sender.typestate, "S0", "msg") == {None}
+        branch, _ = sender.typestate.find("S0", "msg")
+        assert _outcomes(branch) == {None}
 
     def test_boolean_decision(self):
         branch = Branch(
@@ -59,11 +71,11 @@ class TestDecisionsOf:
             dest=DecisionDest(((True, "Yes"), (False, "No"))),
         )
         ts = Typestate(states={"Q": StateBody(in_branches=(branch,))})
-        assert decisions_of(ts, "Q", "check") == {True, False}
+        assert ts.find("Q", "check") == (branch, True)
+        assert _outcomes(branch) == {True, False}
 
-    def test_undefined_action_raises(self, auth):
-        with pytest.raises(UndefinedActionError):
-            decisions_of(auth.typestate, "Auth", "login")
+    def test_undefined_action_is_not_found(self, auth):
+        assert auth.typestate.find("Auth", "login") is None
 
 
 class TestEnumLabels:
@@ -83,33 +95,41 @@ class TestEnumLabels:
 
 
 class TestActionsOf:
+    """The actions a state offers are the branches of its body."""
+
     def test_mixed_state(self, sender):
-        assert actions_of(sender.typestate, "S1") == {"msg", "ack"}
+        body = sender.typestate.states["S1"]
+        assert body.in_branches and body.out_branches
+        assert _names(body) == {"msg", "ack"}
 
     def test_single_action_state(self, leader):
-        assert actions_of(leader.typestate, "L2") == {"vwb"}
-
-    def test_undefined_name_is_empty(self, sender):
-        assert actions_of(sender.typestate, "Missing") == frozenset()
+        assert _names(leader.typestate.states["L2"]) == {"vwb"}
 
 
 class TestRatiosOf:
+    """The declared ratios of a state, unmonitored branches left out."""
+
     def test_receiver_r1(self, receiver):
-        assert ratios_of(receiver.typestate, "R1") == [0.5, 0.5]
+        assert _ratios(receiver.typestate.states["R1"]) == [0.5, 0.5]
 
     def test_all_unmonitored(self, sender):
-        assert ratios_of(sender.typestate, "S1") == []
+        assert _ratios(sender.typestate.states["S1"]) == []
 
     def test_peer_excludes_vwb(self, peer):
-        assert ratios_of(peer.typestate, "Pr1") == [0.5, 0.5]
+        body = peer.typestate.states["Pr1"]
+        assert _ratios(body) == [0.5, 0.5]
+        assert peer.typestate.find("Pr1", "vwb")[0].ratio is None
 
     @pytest.mark.parametrize("seed", range(25))
     def test_never_contains_empty_marker(self, seed):
+        """A branch's ratio is the empty marker ``_`` (None) or lies in
+        [0, 1], and a well-formed state's declared ratios sum to 1."""
         spec = random_wellformed_spec(seed)
-        for state in spec.typestate.states:
-            for r in ratios_of(spec.typestate, state):
-                assert r is not None
-                assert 0.0 <= r <= 1.0
+        for body in spec.typestate.states.values():
+            for br in body.branches():
+                assert br.ratio is None or 0.0 <= br.ratio <= 1.0
+            ratios = _ratios(body)
+            assert not ratios or sum(ratios) == pytest.approx(1.0)
 
 
 class TestInvariants:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tsmon import specs
 from tsmon.dsl import parse_protocol
-from tsmon.model import PlainDest, ProtocolSpec, Typestate, decisions_of
+from tsmon.model import PlainDest, ProtocolSpec, Typestate, _outcomes
 from tsmon.monitor import (
     LogEntry,
     MTInfo,
@@ -258,14 +258,15 @@ def _walk(draw, spec):
         body = spec.typestate.states.get(cfg.state)
         offered = []
         if body is not None:
-            offered += [(br.action.name, "in") for br in body.in_branches]
-            offered += [(br.action.name, "out") for br in body.out_branches]
+            offered += [(br, "in") for br in body.in_branches]
+            offered += [(br, "out") for br in body.out_branches]
         kind = draw(st.sampled_from(["legal"] * 6 + ["direction", "unknown", "value"]))
         if not offered or kind == "unknown":
             events.append(TraceEvent("x", "nope", "in", None, seq))
             continue
-        action, direction = draw(st.sampled_from(offered))
-        values = sorted(decisions_of(spec.typestate, cfg.state, action), key=repr)
+        br, direction = draw(st.sampled_from(offered))
+        action = br.action.name
+        values = sorted(_outcomes(br), key=repr)
         value = draw(st.sampled_from(values))
         if kind == "direction":
             direction = "out" if direction == "in" else "in"

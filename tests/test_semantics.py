@@ -25,7 +25,7 @@ from tsmon.model import (
     ProtocolSpec,
     StateBody,
     Typestate,
-    decisions_of,
+    _outcomes,
 )
 from tsmon.monitor import Monitor, MonitorConfig, TraceEvent, run_trace
 from tsmon.semantics import (
@@ -209,7 +209,7 @@ class TestStep:
             start = initial_config(spec).store
             for state, body in spec.typestate.states.items():
                 for br in body.branches():
-                    for value in decisions_of(spec.typestate, state, br.action.name):
+                    for value in _outcomes(br):
                         out = step(spec, TInfo(state, start), br.action.name, value)
                         assert out.branch is br
                         assert out.is_input == (br in body.in_branches)
