@@ -17,8 +17,7 @@ derives ``==`` (``NotImplemented`` against another class), ``hash`` and a
 ``Name(field=value, ...)`` repr from the class's ``_compare`` and ``_repr``
 field names, which default to all of its fields.  Pickle and copy rebuild a
 record through ``__init__`` from the fields whose names do not start with
-``_``; such a slot holds data derived from the others.  Only ``simnet.SimRun``
-allows assignment, and so has no hash.
+``_``; such a slot holds data derived from the others.
 
 The constructors own the structural rules of a spec (names resolve, no name
 is both a const and a var, no action, decision outcome or enum label is

@@ -26,16 +26,18 @@ The log is output, not state: ``feed`` returns the entries it made;
 
 The JSON Lines codecs give exactly what one ``json.dumps`` or ``json.loads``
 per line gives, but that the reader refuses an integer of more than
-``_MAX_INT_DIGITS`` digits.  A writer caches a format string made by ``json.dumps`` per
-distinct value of the fields that repeat from line to line, and fills in
-``seq``, or ``observed`` and ``event_index``; a line with a field of another
-type is dumped whole.  :func:`iter_trace` yields events as it reads lines,
-and :func:`read_trace` is the list of them; a line is parsed in full only when
-its head (all before ``, "seq": ``) is new, and else just its ``seq`` is read.
-The writers hand a file ``_CHUNK`` (256) lines per ``write`` and the reader
-takes it a line at a time, so neither holds a copy of the whole text, and
-``tsmon monitor`` streams a trace to its log in memory that does not grow
-with the trace.
+``_MAX_INT_DIGITS`` digits.  :func:`write_trace` dumps each event whole.  The
+log writer caches a format string made by ``json.dumps`` per distinct value
+of the fields that repeat from line to line and fills in ``observed`` and
+``event_index``; a line with a field of another type is dumped whole.
+``_write_heads``, which writes a simulated trace, makes one such string per
+distinct head and fills in ``seq``.  :func:`iter_trace` yields events as it
+reads lines, and :func:`read_trace` is the list of them; a line is parsed in
+full only when its head (all before ``, "seq": ``) is new, and else just its
+``seq`` is read.  The writers hand a file ``_CHUNK`` (256) lines per ``write``
+and the reader takes it a line at a time, so neither holds a copy of the
+whole text, and ``tsmon monitor`` streams a trace to its log in memory that
+does not grow with the trace.
 
 :class:`TraceEvent` and :class:`LogEntry` are named tuples: immutable, built
 by position or keyword, read by attribute, index or unpacking, and equal to a
@@ -102,35 +104,22 @@ _CHUNK = 256
 
 
 class MonitorConfig(Record):
-    """Error bounds and warmup threshold for verdict computation.
+    """Error bound and warmup threshold for verdict computation.
 
-    ``per_action_error`` overrides the global bound for specific
-    (state, action) pairs; it defaults to a new empty dict.  While a state's
-    updated execution count is below ``warmup`` the verdict is ``warmup``
-    instead of ok/deviation.
+    While a state's updated execution count is below ``warmup`` the verdict
+    is ``warmup`` instead of ok/deviation.
     """
 
-    __slots__ = ("error_bound", "per_action_error", "warmup")
+    __slots__ = ("error_bound", "warmup")
 
-    def __init__(
-        self, error_bound: float = 0.1,
-        per_action_error: Optional[Mapping[tuple[str, str], float]] = None, warmup: int = 10,
-    ) -> None:
-        per_action_error = {} if per_action_error is None else per_action_error
+    def __init__(self, error_bound: float = 0.1, warmup: int = 10) -> None:
         # Written so that NaN fails too: every comparison with it is false.
         if not 0 < error_bound < math.inf:
             raise ValueError("error bound must be positive and finite")
-        for key, bound in per_action_error.items():
-            if not 0 < bound < math.inf:
-                raise ValueError(f"error bound for {key} must be positive and finite")
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
         _setattr(self, "error_bound", error_bound)
-        _setattr(self, "per_action_error", per_action_error)
         _setattr(self, "warmup", warmup)
-
-    def bound_for(self, state: str, action: str) -> float:
-        return self.per_action_error.get((state, action), self.error_bound)
 
 
 class TraceEvent(NamedTuple):
@@ -226,8 +215,7 @@ class Monitor:
                     if mu is not None:
                         interval = intervals.get((state, action))
                         if interval is None:
-                            bound = conf.bound_for(state, action)
-                            interval = intervals[state, action] = (mu - bound, mu + bound)
+                            interval = intervals[state, action] = (mu - conf.error_bound, mu + conf.error_bound)
                     if t.effect is None and t.target is not None:  # fire returns the target
                         steps[state, action, direction] = (target, mu, interval)
                     scope = after
@@ -334,20 +322,7 @@ def _write(target: Union[str, Path, IO[str]], lines: Iterator[str]) -> None:
 
 
 def write_trace(target: Union[str, Path, IO[str]], events: Iterable[TraceEvent]) -> None:
-    _write(target, _trace_lines(events))
-
-
-def _trace_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
-    templates = {}
-    for ev in events:
-        p, a, d, v, seq = ev
-        if type(seq) is int and type(p) is type(a) is type(d) is str and type(v) in _VALUE_TYPES:
-            template = templates.get((p, a, d, v))
-            if template is None:
-                template = templates[p, a, d, v] = _template(trace_event_to_json(ev), seq="%d")
-            yield template % seq
-        else:
-            yield json.dumps(trace_event_to_json(ev)) + "\n"
+    _write(target, (json.dumps(trace_event_to_json(ev)) + "\n" for ev in events))
 
 
 def _write_heads(target: Union[str, Path, IO[str]], heads: Sequence[tuple]) -> None:

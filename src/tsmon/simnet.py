@@ -224,20 +224,19 @@ class BitVoteConfig(Record):
 
 class SimRun(Record):
     """Result of one simulation: per-participant traces plus run metadata.
-    Unlike the other records its fields may be reassigned, so it has no hash."""
+    Its traces are a dict, so it has no hash."""
 
     __slots__ = ("protocol", "traces", "ticks", "truncated", "config")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(
         self, protocol: str, traces: Mapping[str, Sequence[TraceEvent]], ticks: int, truncated: bool,
         config: object,
     ) -> None:
-        self.protocol = protocol
-        self.traces = traces
-        self.ticks = ticks
-        self.truncated = truncated
-        self.config = config
+        _setattr(self, "protocol", protocol)
+        _setattr(self, "traces", traces)
+        _setattr(self, "ticks", ticks)
+        _setattr(self, "truncated", truncated)
+        _setattr(self, "config", config)
 
     def manifest(self) -> dict:
         config = self.config

@@ -9,8 +9,6 @@ a declared branch with :meth:`~tsmon.model.Typestate.find`, one dict lookup.
 Each rule's findings are sorted, and only the findings are: a spec that
 breaks no rule is checked without a sort.  So checking a spec takes time
 linear in its branches, and exporting its graph adds one sort of its edges.
-The brute-force searches :func:`is_reachable` and :func:`is_productive` are
-kept as the reference oracles that the index is tested against.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ __all__ = [
     "check_transition_rules",
     "check_well_formed",
     "export_dot",
-    "is_productive",
-    "is_reachable",
     "validate",
 ]
 
@@ -167,42 +163,6 @@ def build_trs(spec: ProtocolSpec) -> TransitionSet:
     return frozenset(tuples)
 
 
-def is_reachable(state: str, trs: TransitionSet, start: str) -> bool:
-    """True iff ``state`` can be reached from ``start`` along trs edges."""
-    if state == start:
-        return True
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        src = frontier.pop()
-        for s, _m, _v, dst in trs:
-            if s == src and dst not in visited:
-                if dst == state:
-                    return True
-                visited.add(dst)
-                frontier.append(dst)
-    return False
-
-
-def is_productive(state: str, trs: TransitionSet) -> bool:
-    """True iff some terminal node (no outgoing tuples) is reachable from
-    ``state``, or ``state`` itself is terminal."""
-    sources = {t[0] for t in trs}
-    visited = set()
-    frontier = [state]
-    while frontier:
-        node = frontier.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node not in sources:
-            return True
-        for s, _m, _v, dst in trs:
-            if s == node and dst not in visited:
-                frontier.append(dst)
-    return False
-
-
 def _closure(seeds: Iterable[str], *edges: Mapping[str, Iterable[str]]) -> set[str]:
     """The seeds plus every node reachable from them along any of ``edges``."""
     reached = set(seeds)
@@ -253,7 +213,7 @@ def check_transition_rules(spec: ProtocolSpec, trs: TransitionSet) -> list[Diagn
 
     reachable = _closure([start], succ)
     # Terminal nodes have no outgoing tuple; undeclared (dangling)
-    # destinations count, as they do for is_productive.
+    # destinations count too.
     productive = _closure((ts.states.keys() | pred.keys()) - succ.keys(), pred)
     terminal_exists = any(s not in succ for s in ts.states)
     for state in ts.states:

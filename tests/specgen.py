@@ -327,6 +327,21 @@ def fixpoint_productive(tuples, nodes) -> set[str]:
     return productive
 
 
+def useful_states_oracle(tuples, states, start: str) -> list[tuple[str, str]]:
+    """The USEFUL-STATES findings (state, detail) that the fixpoint oracles
+    give for ``tuples``, in the order of ``states``."""
+    reachable = fixpoint_reachable(tuples, start)
+    productive = fixpoint_productive(tuples, states)
+    terminal_exists = any(all(t[0] != s for t in tuples) for s in states)
+    found = []
+    for state in states:
+        if state not in reachable:
+            found.append((state, "not reachable from the start state"))
+        if terminal_exists and state not in productive:
+            found.append((state, "cannot reach a terminal state"))
+    return found
+
+
 def fixpoint_weak_component(tuples, start: str) -> set[str]:
     component = {start}
     changed = True

@@ -17,10 +17,10 @@ from tsmon.model import PlainDest
 from tsmon.monitor import MonitorConfig, TraceEvent, run_trace
 from tsmon.semantics import initial_config, step
 from tsmon.simnet import AbpConfig, NetConfig, run_abp
-from tsmon.wellformed import build_trs, is_productive, is_reachable, validate
+from tsmon.wellformed import RULE_USEFUL_STATES, build_trs, validate
 
 from conftest import run_cli
-from specgen import fixpoint_productive, fixpoint_reachable, random_wellformed_spec
+from specgen import random_wellformed_spec, useful_states_oracle
 
 CORE_SPECS = ("sender", "receiver", "leader", "peer", "auth")
 
@@ -154,12 +154,8 @@ def test_criterion_2_transition_set_oracle():
                 for br in body.branches()
             )
             assert len(trs) == expected
-            start = spec.typestate.start
-            reachable = fixpoint_reachable(trs, start)
-            productive = fixpoint_productive(trs, spec.typestate.states)
-            for state in spec.typestate.states:
-                assert is_reachable(state, trs, start) == (state in reachable)
-                assert is_productive(state, trs) == (state in productive)
+            useful = [(d.state, d.detail) for d in validate(spec) if d.rule == RULE_USEFUL_STATES]
+            assert useful == useful_states_oracle(trs, spec.typestate.states, spec.typestate.start)
     print("PASS criterion 2: Trs sets exact; 200 random specs match fixpoint oracles")
 
 

@@ -134,14 +134,6 @@ class TestMonitorStep:
         assert entry.observed == pytest.approx(0.6)
         assert entry.verdict == VERDICT_OK
 
-    def test_per_action_override(self, receiver):
-        conf = MonitorConfig(
-            error_bound=0.25, per_action_error={("R1", "ack"): 0.75}, warmup=0
-        )
-        result = run_trace(receiver, conf, r1_stream(2, first="ack"))
-        assert result.log[0].interval == (-0.25, 1.25)
-        assert result.log[0].verdict == VERDICT_OK
-
 
 class TestIntervals:
     """One interval per (state, action), made once and shared by its entries."""
@@ -153,11 +145,6 @@ class TestIntervals:
             assert e.interval is shared.setdefault((e.state, e.action), e.interval)
             assert e.interval == (e.mu - 0.1, e.mu + 0.1)
         assert sorted(shared) == [("R1", "ack"), ("R1", "msg")]
-
-    def test_override_moves_only_its_pair(self, receiver):
-        conf = MonitorConfig(error_bound=0.1, per_action_error={("R1", "ack"): 0.3}, warmup=0)
-        intervals = {(e.action, e.interval) for e in run_trace(receiver, conf, r1_stream(40)).log}
-        assert intervals == {("ack", (0.5 - 0.3, 0.5 + 0.3)), ("msg", (0.5 - 0.1, 0.5 + 0.1))}
 
 
 class TestRunTrace:
@@ -316,7 +303,7 @@ class _FireEach:
         mu = t.branch.ratio
         if mu is not None:
             n, p = self.n.get(state, 0), self.p.get((state, action), 0)
-            observed, bound = (p + 1) / (n + 1), self.conf.bound_for(state, action)
+            observed, bound = (p + 1) / (n + 1), self.conf.error_bound
             low, high = mu - bound, mu + bound
             verdict = (VERDICT_WARMUP if n + 1 < self.conf.warmup else VERDICT_DEVIATION_LOW
                        if observed < low else VERDICT_DEVIATION_HIGH if observed > high else VERDICT_OK)
@@ -894,8 +881,6 @@ class TestMonitorConfig:
     def test_rejects_nonpositive_bound(self, bound):
         with pytest.raises(ValueError):
             MonitorConfig(error_bound=bound)
-        with pytest.raises(ValueError):
-            MonitorConfig(per_action_error={("R1", "ack"): bound})
 
     def test_rejects_negative_warmup(self):
         with pytest.raises(ValueError):

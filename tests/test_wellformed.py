@@ -22,20 +22,18 @@ from tsmon.wellformed import (
     check_transition_rules,
     check_well_formed,
     export_dot,
-    is_productive,
-    is_reachable,
     validate,
 )
 
 from growth import assert_grows_linearly
 from specgen import (
     chain_spec,
-    fixpoint_productive,
     fixpoint_reachable,
     fixpoint_weak_component,
     perturbed_trs,
     random_wellformed_spec,
     trs_rule_oracle,
+    useful_states_oracle,
     wide_spec,
 )
 
@@ -108,30 +106,49 @@ class TestBuildTrs:
         assert len(build_trs(spec)) == expected
 
 
+NOT_REACHABLE = "not reachable from the start state"
+NOT_PRODUCTIVE = "cannot reach a terminal state"
+
+
+def _useful_states(spec):
+    """The USEFUL-STATES findings of ``spec`` as (state, detail), checked
+    against what the fixpoint oracles give."""
+    trs = build_trs(spec)
+    got = [(d.state, d.detail) for d in check_transition_rules(spec, trs) if d.rule == RULE_USEFUL_STATES]
+    assert got == useful_states_oracle(trs, spec.typestate.states, spec.typestate.start)
+    return got
+
+
 class TestReachability:
+    """USEFUL-STATES: every state is reachable and, if a terminal state
+    exists, productive."""
+
     def test_start_is_reachable(self, sender):
-        trs = build_trs(sender)
-        assert is_reachable("S0", trs, "S0")
+        assert _useful_states(sender) == []
+        # The start state has no incoming tuple.
+        assert _useful_states(parse_protocol("state A = !{ unit m() : Done }\nstate Done = end\n")) == []
 
     def test_isolated_state(self):
         spec = parse_protocol("state A = !{ unit m() : A }\nstate B = !{ unit m() : B }\n")
-        trs = build_trs(spec)
-        assert not is_reachable("B", trs, "A")
+        assert _useful_states(spec) == [("B", NOT_REACHABLE)]
 
     def test_leader_l2_via_path(self, leader):
-        trs = build_trs(leader)
-        assert is_reachable("L2", trs, "L0")
+        assert ("L2", NOT_REACHABLE) not in _useful_states(leader)
 
     def test_terminal_state_is_productive(self):
-        spec = parse_protocol("state A = !{ unit m() : Done }\nstate Done = end\n")
-        trs = build_trs(spec)
-        assert is_productive("Done", trs)
-        assert is_productive("A", trs)
+        spec = parse_protocol(
+            "state A = !{ unit m() : Done, unit s() : B }\nstate B = !{ unit m() : B }\nstate Done = end\n"
+        )
+        assert _useful_states(spec) == [("B", NOT_PRODUCTIVE)]
 
-    def test_abp_sender_never_productive(self, sender):
-        trs = build_trs(sender)
-        assert not is_productive("S0", trs)
-        assert not is_productive("S1", trs)
+    def test_abp_sender_never_productive(self):
+        # The sender's states with an end state that nothing leads to.
+        spec = parse_protocol(
+            "state S0 = !{ unit msg() : S1 }\n"
+            "state S1 = !{ unit msg() : S1 } + ?{ unit ack() : S0 }\n"
+            "state Done = end\n"
+        )
+        assert _useful_states(spec) == [("S0", NOT_PRODUCTIVE), ("S1", NOT_PRODUCTIVE), ("Done", NOT_REACHABLE)]
 
     @pytest.mark.parametrize("seed", range(60))
     def test_agrees_with_fixpoint_oracle(self, seed):
@@ -148,21 +165,11 @@ class TestReachability:
             pruned.add((rng.choice(list(states)), "ghost", None, "Dangling"))
         for tuples in (frozenset(full), frozenset(pruned)):
             trs = TransitionSet(tuples)
-            reachable = fixpoint_reachable(tuples, start)
-            productive = fixpoint_productive(tuples, states)
-            for state in states:
-                assert is_reachable(state, trs, start) == (state in reachable)
-                assert is_productive(state, trs) == (state in productive)
-
             # The indexed rules report exactly what the oracles imply, in
             # declaration order.
-            terminal_exists = any(all(t[0] != s for t in tuples) for s in states)
-            expected = []
-            for state in states:
-                if not is_reachable(state, trs, start):
-                    expected.append((RULE_USEFUL_STATES, state, "not reachable from the start state"))
-                if terminal_exists and not is_productive(state, trs):
-                    expected.append((RULE_USEFUL_STATES, state, "cannot reach a terminal state"))
+            expected = [
+                (RULE_USEFUL_STATES, state, detail) for state, detail in useful_states_oracle(tuples, states, start)
+            ]
             component = fixpoint_weak_component(tuples, start)
             if len(states) > 1:
                 expected += [
