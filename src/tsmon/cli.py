@@ -17,10 +17,7 @@ import gc
 import json
 import os
 import sys
-from collections import Counter
 from enum import IntEnum
-from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NoReturn, Optional
 
@@ -139,42 +136,32 @@ def monitor_cmd(
         # The log is written while the trace is read, so it cannot replace it.
         if log_path is not None and os.path.isfile(log_path) and os.path.samefile(log_path, trace_path):
             _fail(ExitStatus.USAGE, f"cannot write {log_path}: it is the trace")
-        monitor = monitor_mod.Monitor(spec, conf)
-        reader = monitor_mod.iter_trace(trace)
-        events, verdicts = 0, Counter()
 
-        def chunks() -> Iterator[list[monitor_mod.LogEntry]]:
-            """The entries of each ``_CHUNK`` events of the trace."""
-            nonlocal events
-            while True:
-                try:
-                    chunk = list(islice(reader, monitor_mod._CHUNK))
-                except OSError as exc:
-                    _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
-                except ValueError as exc:
-                    # Invalid JSON, non-object lines, missing or ill-typed fields and non-UTF-8 bytes.
-                    _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
-                if not chunk:
-                    return
-                entries = monitor.feed(chunk)
-                events += len(chunk)
-                verdicts.update(map(itemgetter(5), entries))
-                yield entries
-
-        log = chain.from_iterable(chunks())
-        if log_path is None:
-            monitor_mod.write_log(sys.stdout, log)
-        else:
+        def lines() -> Iterator[str]:
             try:
-                monitor_mod.write_log(log_path, log)
+                yield from trace
             except OSError as exc:
-                _fail(ExitStatus.USAGE, f"cannot write {log_path}: {exc.strerror or exc}")
+                _fail(ExitStatus.USAGE, f"cannot read {trace_path}: {exc.strerror or exc}")
+
+        log = monitor_mod.LogLines(monitor_mod.Monitor(spec, conf), lines())
+        try:
+            if log_path is None:
+                monitor_mod.write_log(sys.stdout, log)
+            else:
+                try:
+                    monitor_mod.write_log(log_path, log)
+                except OSError as exc:
+                    _fail(ExitStatus.USAGE, f"cannot write {log_path}: {exc.strerror or exc}")
+        except ValueError as exc:
+            # Invalid JSON, non-object lines, missing or ill-typed fields and non-UTF-8 bytes.
+            _fail(ExitStatus.USAGE, f"malformed trace {trace_path}: {exc}")
+    verdicts = log.verdicts
     deviations = (
         verdicts[monitor_mod.VERDICT_DEVIATION_LOW] + verdicts[monitor_mod.VERDICT_DEVIATION_HIGH]
     )
     illegal = verdicts[monitor_mod.VERDICT_ILLEGAL]
     summary = {
-        "events": events,
+        "events": log.events,
         "monitored": verdicts.total() - illegal,
         "ok": verdicts[monitor_mod.VERDICT_OK],
         "warmup": verdicts[monitor_mod.VERDICT_WARMUP],

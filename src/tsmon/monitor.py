@@ -21,6 +21,12 @@ side and ratio from the compiled transition.  An event with no value on a
 transition with no effect and a plain target takes the target without the
 call, which is what ``fire`` returns for it (see :mod:`tsmon.semantics`): the
 monitor keeps that step per (state, action, direction) once it has met it.
+``tsmon monitor`` runs :class:`LogLines`, which takes one such step from a
+trace line to its log line: it keys the step on the state and the line's head
+(all before ``, "seq": ``), and for a head it has met in that state it reads
+just the ``seq``, applies the verdict rule and fills in the step's log
+template for that verdict.  Any other line is read, fed and written as below.
+``feed`` and :class:`LogLines` share the verdict rule, ``Monitor._judge``.
 The log is output, not state: ``feed`` returns the entries it made;
 :class:`MTInfo` has no log.
 
@@ -35,7 +41,7 @@ distinct head and fills in ``seq``.  :func:`iter_trace` yields events as it
 reads lines, and :func:`read_trace` is the list of them; a line is parsed in
 full only when its head (all before ``, "seq": ``) is new, and else just its
 ``seq`` is read.  The writers hand a file ``_CHUNK`` (256) lines per ``write``
-and the reader takes it a line at a time, so neither holds a copy of the
+and the readers take it a line at a time, so neither holds a copy of the
 whole text, and ``tsmon monitor`` streams a trace to its log in memory that
 does not grow with the trace.
 
@@ -49,7 +55,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import count, islice
+from collections import Counter
+from itertools import count, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union, get_args
 
@@ -61,6 +68,7 @@ from .semantics import (
 
 __all__ = [
     "LogEntry",
+    "LogLines",
     "MTInfo",
     "Monitor",
     "MonitorConfig",
@@ -185,8 +193,9 @@ class Monitor:
         self.intervals: dict[tuple[str, str], tuple[float, float]] = {}  # shared by entries
         # The step of each (state, action, direction) met before whose
         # transition has no effect and a plain target, for an event with no
-        # value: the target, the ratio and the interval.
-        self.steps: dict[tuple[str, str, str], tuple[str, Optional[float], Optional[tuple]]] = {}
+        # value: the target, (state, action), the ratio, the interval and the
+        # log templates that :class:`LogLines` made for it, per verdict.
+        self.steps: dict[tuple[str, str, str], tuple[str, tuple, Optional[float], Optional[tuple], dict]] = {}
         self.n: dict[str, int] = {}
         self.p: dict[tuple[str, str], int] = {}
 
@@ -195,7 +204,7 @@ class Monitor:
         a verdict for an action with a ratio, ``illegal`` for an event that no
         transition allows.  If ``events`` raises, the events before it
         stay consumed."""
-        conf, table, intervals, steps, n, p = self.conf, self.table, self.intervals, self.steps, self.n, self.p
+        conf, table, intervals, steps, judge = self.conf, self.table, self.intervals, self.steps, self._judge
         state, scope = self.state, self.scope
         log: list[LogEntry] = []
         try:
@@ -211,36 +220,42 @@ class Monitor:
                     if t is None or direction != (DIRECTION_IN if t.is_input else DIRECTION_OUT):
                         log.append(LogEntry(state, action, None, None, None, VERDICT_ILLEGAL, seq))
                         continue
-                    mu, interval = t.branch.ratio, None
+                    key, mu, interval = (state, action), t.branch.ratio, None
                     if mu is not None:
-                        interval = intervals.get((state, action))
+                        interval = intervals.get(key)
                         if interval is None:
-                            interval = intervals[state, action] = (mu - conf.error_bound, mu + conf.error_bound)
+                            interval = intervals[key] = (mu - conf.error_bound, mu + conf.error_bound)
                     if t.effect is None and t.target is not None:  # fire returns the target
-                        steps[state, action, direction] = (target, mu, interval)
+                        steps[state, action, direction] = (target, key, mu, interval, {})
                     scope = after
                 else:
-                    target, mu, interval = step
+                    target, key, mu, interval, _ = step
                 if mu is not None:
-                    n_before = n.get(state, 0)
-                    p_before = p.get((state, action), 0)
-                    observed = (p_before + 1) / (n_before + 1)
-                    low, high = interval
-                    if n_before + 1 < conf.warmup:
-                        verdict = VERDICT_WARMUP
-                    elif observed < low:
-                        verdict = VERDICT_DEVIATION_LOW
-                    elif observed > high:
-                        verdict = VERDICT_DEVIATION_HIGH
-                    else:
-                        verdict = VERDICT_OK
+                    observed, verdict = judge(key, interval)
                     log.append(_tuple_new(LogEntry, (state, action, mu, interval, observed, verdict, seq)))
-                    n[state] = n_before + 1
-                    p[(state, action)] = p_before + 1
                 state = target
         finally:
             self.state, self.scope = state, scope
         return log
+
+    def _judge(self, key: tuple[str, str], interval: tuple[float, float]) -> tuple[float, str]:
+        """The observed ratio and the verdict of an event of a monitored action
+        in a state, ``key`` being (state, action); counts the event."""
+        n, p = self.n, self.p
+        n_before = n.get(key[0], 0)
+        p_before = p.get(key, 0)
+        observed = (p_before + 1) / (n_before + 1)
+        if n_before + 1 < self.conf.warmup:
+            verdict = VERDICT_WARMUP
+        elif observed < interval[0]:
+            verdict = VERDICT_DEVIATION_LOW
+        elif observed > interval[1]:
+            verdict = VERDICT_DEVIATION_HIGH
+        else:
+            verdict = VERDICT_OK
+        n[key[0]] = n_before + 1
+        p[key] = p_before + 1
+        return observed, verdict
 
     def config(self) -> MTInfo:
         """A snapshot of the configuration, which later feeds do not change."""
@@ -393,26 +408,81 @@ def log_entry_to_json(entry: LogEntry) -> dict:
     }
 
 
-def write_log(target: Union[str, Path, IO[str]], log: Iterable[LogEntry]) -> None:
-    _write(target, _log_lines(log))
+def write_log(target: Union[str, Path, IO[str]], log: Union[Iterable[LogEntry], LogLines]) -> None:
+    """Write ``log``, entries or the lines of a :class:`LogLines`, which are written as they are."""
+    _write(target, iter(log) if type(log) is LogLines else map(_log_line, log, repeat({})))
 
 
-def _log_lines(log: Iterable[LogEntry]) -> Iterator[str]:
-    templates = {}
-    for e in log:
-        state, action, mu, iv, obs, verdict, idx = e
-        # mu and the interval key the cache, so they must be floats (1 and True
-        # equal 1.0) and not zero (0.0 equals -0.0).
-        if (type(idx) is int and type(obs) is float and math.isfinite(obs)
-                and type(mu) is float and mu and type(iv) is tuple and len(iv) == 2
-                and type(iv[0]) is type(iv[1]) is float and iv[0] and iv[1]
-                and type(state) is type(action) is type(verdict) is str):
-            key = (state, action, mu, iv, verdict)
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = _template(
-                    log_entry_to_json(e), observed="%r", event_index="%d"
-                )
-            yield template % (obs, idx)
-        else:
-            yield json.dumps(log_entry_to_json(e)) + "\n"
+def _log_line(e: LogEntry, templates: dict) -> str:
+    """The line of ``e``, from a format string that ``templates`` caches."""
+    state, action, mu, iv, obs, verdict, idx = e
+    # mu and the interval key the cache, so they must be floats (1 and True
+    # equal 1.0) and not zero (0.0 equals -0.0).
+    if (type(idx) is int and type(obs) is float and math.isfinite(obs)
+            and type(mu) is float and mu and type(iv) is tuple and len(iv) == 2
+            and type(iv[0]) is type(iv[1]) is float and iv[0] and iv[1]
+            and type(state) is type(action) is type(verdict) is str):
+        return _log_template(templates, e) % (obs, idx)
+    return json.dumps(log_entry_to_json(e)) + "\n"
+
+
+def _log_template(templates: dict, e: LogEntry) -> str:
+    """The line of ``e`` as a format string of ``observed`` and ``event_index``,
+    which ``templates`` keeps per (state, action, mu, interval, verdict)."""
+    key = (*e[:4], e[5])
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = _template(log_entry_to_json(e), observed="%r", event_index="%d")
+    return template
+
+
+class LogLines:
+    """The log lines that ``monitor`` makes of a trace's ``lines`` as it reads
+    them: what :func:`write_log` writes of ``monitor.feed(iter_trace(lines))``,
+    with the same error.  Iterate once; then ``events`` counts the events and
+    ``verdicts`` the entries of each verdict.  A line whose head (all before
+    ``, "seq": ``) an earlier line had in the same state, on a step that
+    ``feed`` keeps, takes that step to its log line; ``iter_trace`` reads any
+    other line for ``feed``.  Only the first participant's lines have steps."""
+
+    __slots__ = ("monitor", "lines", "events", "verdicts")
+
+    def __init__(self, monitor: Monitor, lines: Iterable[str]) -> None:
+        self.monitor, self.lines, self.events, self.verdicts = monitor, lines, 0, Counter()
+
+    def __iter__(self) -> Iterator[str]:
+        monitor, verdicts, lines, tail_ok = self.monitor, self.verdicts, iter(self.lines), _SEQ_TAIL.fullmatch
+        # The lines that take no step go to iter_trace one at a time; after a
+        # second participant, it reads on through the rest of the trace.
+        missed: list[str] = []
+        reader = iter_trace(iter(lambda: missed.pop() if missed else next(lines), None))
+        steps: dict[tuple[str, str], tuple] = {}  # per (state, head), the monitor's step
+        templates: dict[tuple, str] = {}  # the writer's format strings
+        state, events = monitor.state, 0
+        try:
+            for line in lines:
+                head, _, tail = (line := line.rstrip("\n")).rpartition(', "seq": ')
+                step = steps.get((state, head))
+                if step is not None and tail_ok(tail):
+                    state, key, mu, interval, made = step
+                    if mu is not None:
+                        observed, verdict = monitor._judge(key, interval)
+                        verdicts[verdict] += 1
+                        template = made.get(verdict) or made.setdefault(
+                            verdict, _log_template(templates, LogEntry(*key, mu, interval, None, verdict, 0)))
+                        yield template % (observed, int(tail[:-1]))
+                    events += 1
+                elif line.strip():
+                    missed.append(line)
+                    ev = next(reader)
+                    monitor.state = state
+                    for entry in monitor.feed((ev,)):
+                        verdicts[entry.verdict] += 1
+                        yield _log_line(entry, templates)
+                    step = monitor.steps.get((state, ev.action, ev.direction))
+                    if step is not None and ev.value is None and tail_ok(tail):
+                        steps[state, head] = step
+                    state = monitor.state
+                    events += 1
+        finally:
+            monitor.state, self.events = state, events

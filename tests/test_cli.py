@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -572,17 +571,22 @@ class TestMonitorStream:
             assert not log.exists()
 
     def test_a_read_error_part_way(self, tmp_path, monkeypatch):
-        import tsmon.monitor
+        import tsmon.cli
 
-        iter_trace = tsmon.monitor.iter_trace
+        class Failing(io.StringIO):
+            """The trace file, which raises EIO when its 301st line is read."""
 
-        def failing(lines):
-            yield from islice(iter_trace(lines), 300)
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
+            read = 0
+
+            def __next__(self):
+                if self.read == 300:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                self.read += 1
+                return super().__next__()
 
         trace = tmp_path / "r.jsonl"
         trace.write_text("".join(_r1_lines(400)))
-        monkeypatch.setattr(tsmon.monitor, "iter_trace", failing)
+        monkeypatch.setattr(tsmon.cli, "open", lambda path, **kw: Failing(trace.read_text()), raising=False)
         result = self._monitor(trace, tmp_path / "r.log")
         assert result.exit_code == 2
         assert result.stderr == f"error: cannot read {trace}: {os.strerror(errno.EIO)}\n"

@@ -2,6 +2,7 @@
 
 import gc
 import io
+from collections import Counter
 import json
 import math
 import tracemalloc
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from tsmon import specs
 from tsmon.dsl import parse_protocol
-from tsmon.model import PlainDest, ProtocolSpec, Typestate, _outcomes
+from tsmon.model import ActionSignature, Branch, PlainDest, ProtocolSpec, StateBody, Typestate, _outcomes
 from tsmon.monitor import (
     LogEntry,
+    LogLines,
     MTInfo,
     Monitor,
     MonitorConfig,
@@ -807,6 +809,140 @@ class TestStreaming:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert _reference_lines(to_json, good).startswith(text)
+
+
+# Lines that edit a trace: blank, malformed, or a line of the walk's trace
+# ``line`` with a ``seq`` tail spelt otherwise or of another participant.
+_BLANK = ["", "   ", "\t"]
+_MALFORMED = ["{", "[1]", "null", '{"participant": "x"}', '{"participant": "x", "action": "a", "dir": "in", "seq": 1']
+_RETAIL = ["-0}", "9" * 100 + "}", "9" * 101 + "}", *_SEQ_TAILS]
+
+
+@st.composite
+def _edited_trace(draw, spec):
+    """The lines of a walk through ``spec`` (participant ``x``, with values,
+    undeclared actions and wrong directions), each with its newline, and
+    edits at any position: blank and malformed lines, lines of a second
+    participant, before or after their heads are met, and other ``seq``
+    tails, some holding another line's fields."""
+    out = io.StringIO()
+    write_trace(out, draw(_walk(spec)))
+    lines = out.getvalue().splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["blank", "malformed", "tail", "participant", "override"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(_BLANK)) + "\n"
+        elif kind == "malformed":
+            line = draw(st.sampled_from(_MALFORMED)) + "\n"
+        elif not lines:
+            continue
+        else:
+            head = draw(st.sampled_from(lines)).rpartition(', "seq": ')[0]
+            if kind == "participant":
+                head = head.replace('"participant": "x"', '"participant": "y"')
+            tail = draw(st.sampled_from(_RETAIL)) if kind == "tail" else f"{at}}}"
+            if kind == "override":  # a tail whose fields replace the head's
+                fields = draw(st.sampled_from(lines)).rpartition(', "seq": ')[0][1:]
+                tail = f"{at}, {fields}}}"
+            line = f'{head}, "seq": {tail}\n'
+        lines.insert(at, line)
+    return "".join(lines)
+
+
+def _until_error(items):
+    """The items of ``items`` up to its first ValueError, and that error's
+    type and message, or None."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except ValueError as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+class TestLogLines:
+    """The line path of ``tsmon monitor``: the log lines :class:`LogLines`
+    makes of a trace are what ``write_log(feed(iter_trace(...)))`` writes,
+    error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_write_log_of_feed_of_iter_trace(self, data):
+        spec = specs.load(data.draw(st.sampled_from(["receiver", "leader", "peer", "sender"])))
+        text = data.draw(_edited_trace(spec))
+        conf = MonitorConfig(error_bound=0.2, warmup=data.draw(st.sampled_from([0, 2, 10])))
+        events, error = _until_error(iter_trace(io.StringIO(text)))
+        reference, expected = Monitor(spec, conf), io.StringIO()
+        entries = reference.feed(events)
+        write_log(expected, entries)
+        monitor = Monitor(spec, conf)
+        log = LogLines(monitor, io.StringIO(text))
+        lines, line_error = _until_error(log)
+        assert "".join(lines) == expected.getvalue()
+        assert line_error == error
+        if error is None:
+            assert (log.events, log.verdicts) == (len(events), Counter(e.verdict for e in entries))
+            assert monitor.config() == reference.config()
+        # Through write_log, the lines are written as they are, in whole lines.
+        out = io.StringIO()
+        assert _outcome(write_log, out, LogLines(Monitor(spec, conf), io.StringIO(text))) == error
+        assert expected.getvalue().startswith(out.getvalue())
+        assert error is not None or out.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("tail", ["-0}", "9" * 100 + "}", "9" * 101 + "}"])
+    def test_a_seq_tail_is_read_as_the_parser_reads_it(self, tail):
+        # From the second line on, a 100-digit tail at most takes the cached
+        # step of the first line's head; `-0` is logged as 0.
+        head = '{"participant": "r", "action": "msg", "dir": "in", "value": null'
+        text = f'{head}, "seq": 5}}\n{head}, "seq": 6}}\n{head}, "seq": {tail}\n'
+        spec, conf = specs.load("receiver"), MonitorConfig(warmup=0)
+        expected = io.StringIO()
+        write_log(expected, Monitor(spec, conf).feed(iter_trace(io.StringIO(text))))
+        assert "".join(LogLines(Monitor(spec, conf), io.StringIO(text))) == expected.getvalue()
+        assert expected.getvalue().endswith(f'"event_index": {int(tail[:-1])}}}\n')
+
+    def test_a_tail_with_fields_teaches_no_step(self):
+        # The second line is an ack whose fields follow seq; the third, a msg
+        # with the first line's head, must not take the ack's step.
+        head = '{"participant": "r", "action": "msg", "dir": "in", "value": null'
+        text = f'{head}, "seq": 0}}\n{head}, "seq": 1, "action": "ack", "dir": "out"}}\n{head}, "seq": 2}}\n'
+        spec, conf = specs.load("receiver"), MonitorConfig(warmup=0)
+        expected = io.StringIO()
+        write_log(expected, Monitor(spec, conf).feed(iter_trace(io.StringIO(text))))
+        assert [json.loads(line)["action"] for line in expected.getvalue().splitlines()] == ["ack", "msg"]
+        assert "".join(LogLines(Monitor(spec, conf), io.StringIO(text))) == expected.getvalue()
+
+    def test_line_path_grows_linearly_in_events(self, receiver, tmp_path):
+        conf = MonitorConfig(error_bound=0.05, warmup=20)
+
+        def prepare(count):
+            trace, log = tmp_path / f"r{count}.jsonl", tmp_path / "r.log"
+            write_trace(trace, r1_stream(count))
+
+            def run():
+                with open(trace, encoding="utf-8") as lines:
+                    write_log(log, LogLines(Monitor(receiver, conf), lines))
+
+            return run
+
+        assert_grows_linearly(prepare, 4_000)
+
+    def test_line_path_grows_linearly_in_a_states_heads(self):
+        # One monitored input action per head, in one state that each loops
+        # back to; the second round of heads takes the cached steps.
+        def prepare(n_actions):
+            branches = tuple(
+                Branch(ActionSignature(f"a{i}"), 1 / n_actions, (), (), PlainDest("W")) for i in range(n_actions)
+            )
+            spec = ProtocolSpec(Typestate({"W": StateBody(in_branches=branches)}))
+            text = io.StringIO()
+            write_trace(text, [TraceEvent("w", f"a{i % n_actions}", "in", None, i) for i in range(2 * n_actions)])
+            lines = text.getvalue().splitlines(keepends=True)
+            return lambda: write_log(io.StringIO(), LogLines(Monitor(spec, MonitorConfig()), lines))
+
+        assert_grows_linearly(prepare, 500)
 
 
 class TestRecords:
